@@ -22,8 +22,8 @@ from .perturbation import (QuadraticSpec, ResidualSpec, StationarySpec,
                            zeta_window, zeta_window_path)
 from .mixture import (ChiSquareMixture, mixture_cdf, mixture_mean,
                       mixture_quantile, mixture_sample, mixture_weights)
-from .first_passage import (BackwardBatch, BackwardFunctionalSample,
-                            FirstPassageSample, PassageSamples,
+from .parallel import map_replications
+from .first_passage import (BackwardBatch, FirstPassageSample, PassageSamples,
                             PassageSummary, PerturbedWalkModel,
                             RenewalConstants, backward_min_functional,
                             collect_passage, constants_from_batch,
@@ -31,7 +31,7 @@ from .first_passage import (BackwardBatch, BackwardFunctionalSample,
                             excess_cdf_from_backward,
                             recommended_backward_depth,
                             residual_dip_probability, simulate_passage,
-                            summarize_passage)
+                            summarize_levels, summarize_passage)
 from .verification import (EventPredicate, Lemma1Row, Lemma3Row,
                            TheoremReport, Theorem3Result, Theorem4Result,
                            Theorem4Row, WindowBounds, lemma1_diagnostic,

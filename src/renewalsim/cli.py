@@ -1,8 +1,10 @@
 """Command-line runner: one config in, one CSV table and a manifest out.
 
-Replications are split into fixed-size chunks indexed by their global
-replication number, so the result of a run depends only on (config,
-seed): the worker count changes wall time, never output bytes.
+Each kind builds the model, makes one library call and formats its rows.
+The library runs replications in fixed chunks keyed by their global
+replication number (see ``parallel``), so the result of a run depends
+only on (config, seed): the worker count changes wall time, never output
+bytes or the warnings the manifest lists.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -23,25 +26,15 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, build_model, validate_for_kind
 from .errors import RenewalSimError
-from .first_passage import (BackwardBatch, PassageSamples,
-                            backward_min_functional, collect_passage,
-                            estimate_rho_nu, summarize_passage)
+from .first_passage import estimate_rho_nu, summarize_levels
 from .mixture import mixture_quantile
+from .parallel import raise_again
 from .rng import RngStream
-from .staggered import (calibrate_lrt_maxima, example1_collect, example1_run,
-                        example2_collect, example2_run, staggered_backward_batch,
+from .staggered import (calibrate_lrt_boundary, example1_run, example2_run,
                         staggered_constants)
-from .verification import (EventPredicate, lemma1_collect, lemma1_diagnostic,
-                           lemma3_collect, lemma3_diagnostic, theorem1_counts,
-                           theorem1_experiment, theorem3_experiment,
-                           theorem4_experiment)
-
-CHUNK_REPS = 1024
-
-
-def _chunks(total: int) -> List[tuple]:
-    return [(off, min(CHUNK_REPS, total - off))
-            for off in range(0, total, CHUNK_REPS)]
+from .verification import (EventPredicate, lemma1_diagnostic,
+                           lemma3_diagnostic, theorem1_experiment,
+                           theorem3_experiment, theorem4_experiment)
 
 
 def _predicate(spec: Optional[dict]) -> EventPredicate:
@@ -61,68 +54,6 @@ def _resolve_y(model, y):
                 if model.residual.kind == "constant" else 0.0
         return mixture_quantile(mix, 0.5)
     return float(y)
-
-
-def _run_piece(payload: dict):
-    """One chunk of work, executable in any process.
-
-    The payload carries the config dict (to rebuild the model), the
-    seed, a stream shift, and the chunk's global replication offset.
-    """
-    cfg = ExperimentConfig.from_dict(payload["config"])
-    model = build_model(cfg)
-    stream = RngStream(cfg.seed)
-    if payload.get("shift"):
-        stream = stream.with_stream(stream.stream_id + payload["shift"])
-    op = payload["op"]
-    off, cnt = payload["offset"], payload["count"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if op == "passage":
-            return collect_passage(model, payload["a"], cnt, stream,
-                                   rep_offset=off)
-        if op == "backward":
-            return backward_min_functional(model, cfg.depth, cnt, stream,
-                                           rep_offset=off)
-        if op == "thm1_counts":
-            B = _predicate(cfg.predicate)
-            y = _resolve_y(model, cfg.y)
-            return theorem1_counts(model, B, y, cfg.a, cfg.b, cnt, stream,
-                                   rep_offset=off)
-        if op == "lemma1":
-            return lemma1_collect(model, cfg.q, payload["a"], cnt, stream,
-                                  rep_offset=off)
-        if op == "lemma3":
-            return lemma3_collect(model, cfg.q, cfg.eps, payload["a"], cnt,
-                                  stream, rep_offset=off)
-        if op == "stag_backward":
-            return staggered_backward_batch(model, cnt, stream, cfg.depth,
-                                            rep_offset=off)
-        if op == "ex1":
-            return example1_collect(model, payload["a"], cfg.h, cnt, stream,
-                                    rep_offset=off)
-        if op == "ex2":
-            return example2_collect(model, payload["a"], cfg.horizon, cnt,
-                                    stream, rep_offset=off)
-        if op == "maxima":
-            return calibrate_lrt_maxima(model.arrival_rate, cfg.horizon, cnt,
-                                        stream, n0=model.n0, rep_offset=off)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def _gather(payloads: List[dict], workers: int) -> list:
-    """Run the payloads, preserving order; workers=1 stays in-process."""
-    if workers <= 1 or len(payloads) <= 1:
-        return [_run_piece(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_piece, payloads))
-
-
-def _payloads(cfg_dict: dict, op: str, reps: int, shift: int = 0,
-              **extra) -> List[dict]:
-    return [dict(config=cfg_dict, op=op, offset=off, count=cnt, shift=shift,
-                 **extra)
-            for off, cnt in _chunks(reps)]
 
 
 def _fmt(v) -> str:
@@ -152,17 +83,16 @@ _REPORT_HEADER = ("label", "estimate", "theory", "std_error", "reps",
                   "passed")
 
 
+@dataclass
 class RunOutput:
     """Everything one run produced, before it is written to disk."""
 
-    def __init__(self, header, rows, passed, flags, non_crossing_rate,
-                 extra=None):
-        self.header = header
-        self.rows = rows
-        self.passed = passed          # None when the kind has no pass gate
-        self.flags = list(flags)
-        self.non_crossing_rate = non_crossing_rate
-        self.extra = extra or {}
+    header: Sequence[str]
+    rows: List[list]
+    passed: Optional[bool]        # None when the kind has no pass gate
+    flags: List[str]
+    non_crossing_rate: Optional[float]
+    extra: dict = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
@@ -175,119 +105,64 @@ def _constants_extra(c) -> dict:
             "flags": list(c.flags)}
 
 
-def _run_simulate(cfg: ExperimentConfig, d: dict) -> RunOutput:
-    rows, flags = [], []
-    worst = 0.0
-    for i, a in enumerate(cfg.a_grid):
-        parts = _gather(_payloads(d, "passage", cfg.reps, shift=10 + i,
-                                  a=float(a)), cfg.workers)
-        summ = summarize_passage(PassageSamples.concatenate(parts))
-        worst = max(worst, summ.non_crossing_fraction)
-        if not summ.usable:
-            flags.append(f"non-crossing fraction {summ.non_crossing_fraction}"
-                         f" at a={a} exceeds 1%")
-        rows.append([summ.a, summ.reps, summ.mean_t, summ.se_t, summ.mean_R,
-                     summ.se_R, summ.mean_xi, summ.mean_zeta,
-                     summ.non_crossing_fraction])
+def _run_simulate(cfg, model, stream) -> RunOutput:
+    summaries = summarize_levels(model, cfg.a_grid, cfg.reps, stream,
+                                 cfg.workers)
+    flags = [f"non-crossing fraction {s.non_crossing_fraction} at a={s.a} "
+             f"exceeds 1%" for s in summaries if not s.usable]
+    rows = [[s.a, s.reps, s.mean_t, s.se_t, s.mean_R, s.se_R, s.mean_xi,
+             s.mean_zeta, s.non_crossing_fraction] for s in summaries]
     header = ("a", "reps", "mean_t", "se_t", "mean_R", "se_R", "mean_xi",
               "mean_zeta", "non_crossing_fraction")
+    worst = max(s.non_crossing_fraction for s in summaries)
     return RunOutput(header, rows, None, flags, worst)
 
 
-def _run_constants(cfg: ExperimentConfig, d: dict) -> RunOutput:
-    model = build_model(cfg)
+def _run_constants(cfg, model, stream) -> RunOutput:
     if cfg.model_kind() == "staggered":
-        parts = _gather(_payloads(d, "stag_backward", cfg.reps, shift=3),
-                        cfg.workers)
-        batch = BackwardBatch.concatenate(parts)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            c = staggered_constants(model, cfg.reps, RngStream(cfg.seed),
-                                    batch=batch)
+        c = staggered_constants(model, cfg.reps, stream, cfg.depth,
+                                cfg.workers)
     else:
-        parts = _gather(_payloads(d, "backward", cfg.reps, shift=3),
-                        cfg.workers)
-        batch = BackwardBatch.concatenate(parts)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            c = estimate_rho_nu(model, cfg.depth, cfg.reps,
-                                RngStream(cfg.seed), batch=batch)
+        c = estimate_rho_nu(model, cfg.depth, cfg.reps, stream, cfg.workers)
     header = ("mu", "sigma2", "rho", "se_rho", "nu", "se_nu", "lam", "reps",
               "flags")
     rows = [[c.mu, c.sigma2, c.rho, c.se_rho, c.nu, c.se_nu, c.lam, c.reps,
              ";".join(c.flags)]]
-    return RunOutput(header, rows, None, c.flags, None,
-                     extra=_constants_extra(c))
+    return RunOutput(header, rows, None, list(c.flags), None,
+                     _constants_extra(c))
 
 
-def _run_thm1(cfg: ExperimentConfig, d: dict) -> RunOutput:
-    model = build_model(cfg)
-    parts = _gather(_payloads(d, "thm1_counts", cfg.reps), cfg.workers)
-    counts = np.concatenate(parts)
-    B = _predicate(cfg.predicate)
-    y = _resolve_y(model, cfg.y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = theorem1_experiment(model, B, y, cfg.a, cfg.b, cfg.reps,
-                                     RngStream(cfg.seed), counts=counts)
+def _run_thm1(cfg, model, stream) -> RunOutput:
+    report = theorem1_experiment(model, _predicate(cfg.predicate),
+                                 _resolve_y(model, cfg.y), cfg.a, cfg.b,
+                                 cfg.reps, stream, cfg.workers)
     return RunOutput(_REPORT_HEADER, _report_rows([report]), report.passed,
                      [], None)
 
 
-def _run_thm3(cfg: ExperimentConfig, d: dict) -> RunOutput:
-    model = build_model(cfg)
-    samples = PassageSamples.concatenate(
-        _gather(_payloads(d, "passage", cfg.reps, a=float(cfg.a)),
-                cfg.workers))
-    back = BackwardBatch.concatenate(
-        _gather(_payloads(d, "backward", cfg.backward_reps or cfg.reps,
-                          shift=3), cfg.workers))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = theorem3_experiment(model, float(cfg.a), cfg.reps,
-                                  RngStream(cfg.seed), samples=samples,
-                                  batch=back)
-    ncf = 1.0 - float(np.count_nonzero(samples.crossed)) / len(samples.t)
+def _run_thm3(cfg, model, stream) -> RunOutput:
+    res = theorem3_experiment(model, float(cfg.a), cfg.reps, stream,
+                              cfg.backward_reps, cfg.depth, cfg.workers)
     return RunOutput(_REPORT_HEADER, _report_rows(res.reports), res.passed,
-                     [], ncf)
+                     [], res.non_crossing_fraction)
 
 
-def _run_thm4(cfg: ExperimentConfig, d: dict) -> RunOutput:
-    model = build_model(cfg)
-    back = BackwardBatch.concatenate(
-        _gather(_payloads(d, "backward", cfg.backward_reps or cfg.reps,
-                          shift=3), cfg.workers))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        constants = estimate_rho_nu(model, cfg.depth, cfg.reps,
-                                    RngStream(cfg.seed), batch=back)
-    summaries = []
-    for i, a in enumerate(cfg.a_grid):
-        parts = _gather(_payloads(d, "passage", cfg.reps, shift=10 + i,
-                                  a=float(a)), cfg.workers)
-        summaries.append(summarize_passage(PassageSamples.concatenate(parts)))
-    res = theorem4_experiment(model, cfg.a_grid, cfg.reps,
-                              RngStream(cfg.seed), constants=constants,
-                              summaries=summaries)
+def _run_thm4(cfg, model, stream) -> RunOutput:
+    res = theorem4_experiment(model, cfg.a_grid, cfg.reps, stream, cfg.depth,
+                              cfg.backward_reps, cfg.workers)
     header = ("a", "mean_t", "se_t", "theory", "diff", "combined_se",
               "passed")
     rows = [[r.a, r.mean_t, r.se_t, r.theory, r.diff, r.combined_se, r.passed]
             for r in res.rows]
-    flags = [] if constants.consistent else list(constants.flags)
+    c = res.constants
+    flags = [] if c.consistent else list(c.flags)
     return RunOutput(header, rows, res.passed, flags,
-                     res.non_crossing_fraction,
-                     extra=_constants_extra(constants))
+                     res.non_crossing_fraction, _constants_extra(c))
 
 
-def _run_lemma1(cfg: ExperimentConfig, d: dict) -> RunOutput:
-    model = build_model(cfg)
-    collected = []
-    for a in cfg.a_grid:
-        parts = _gather(_payloads(d, "lemma1", cfg.reps, a=float(a)),
-                        cfg.workers)
-        collected.append(np.vstack(parts))
-    rows = lemma1_diagnostic(model, cfg.q, cfg.a_grid, cfg.reps,
-                             RngStream(cfg.seed), collected=collected)
+def _run_lemma1(cfg, model, stream) -> RunOutput:
+    rows = lemma1_diagnostic(model, cfg.q, cfg.a_grid, cfg.reps, stream,
+                             cfg.workers)
     header = ("a", "m", "M", "delta0", "se0", "delta1", "se1", "tail",
               "se_tail")
     table = [[r.a, r.m, r.M, r.delta0, r.se0, r.delta1, r.se1, r.tail,
@@ -295,35 +170,17 @@ def _run_lemma1(cfg: ExperimentConfig, d: dict) -> RunOutput:
     return RunOutput(header, table, None, [], None)
 
 
-def _run_lemma3(cfg: ExperimentConfig, d: dict) -> RunOutput:
-    model = build_model(cfg)
-    collected = []
-    for a in cfg.a_grid:
-        parts = _gather(_payloads(d, "lemma3", cfg.reps, a=float(a)),
-                        cfg.workers)
-        collected.append(np.concatenate(parts))
+def _run_lemma3(cfg, model, stream) -> RunOutput:
     rows = lemma3_diagnostic(model, cfg.q, cfg.eps, cfg.a_grid, cfg.reps,
-                             RngStream(cfg.seed), collected=collected)
+                             stream, cfg.workers)
     header = ("a", "m", "M", "count", "se")
     table = [[r.a, r.m, r.M, r.count, r.se] for r in rows]
     return RunOutput(header, table, None, [], None)
 
 
-def _run_example_fwci(cfg: ExperimentConfig, d: dict) -> RunOutput:
-    model = build_model(cfg)
-    a = cfg.c * cfg.c / (cfg.h * cfg.h)
-    collected = np.vstack(
-        _gather(_payloads(d, "ex1", cfg.reps, a=a), cfg.workers))
-    back = BackwardBatch.concatenate(
-        _gather(_payloads(d, "stag_backward",
-                          cfg.backward_reps or cfg.reps, shift=3),
-                cfg.workers))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        constants = staggered_constants(model, cfg.reps, RngStream(cfg.seed),
-                                        batch=back)
-        res = example1_run(model, cfg.h, cfg.c, cfg.reps, RngStream(cfg.seed),
-                           collected=collected, constants=constants)
+def _run_example_fwci(cfg, model, stream) -> RunOutput:
+    res = example1_run(model, cfg.h, cfg.c, cfg.reps, stream,
+                       cfg.backward_reps, cfg.depth, cfg.workers)
     header = ("a", "half_width", "confidence", "reps", "mean_t", "se_t",
               "coverage", "se_coverage", "nominal_coverage", "theory_Et",
               "combined_se", "expansion_passed", "non_crossing_fraction")
@@ -331,30 +188,23 @@ def _run_example_fwci(cfg: ExperimentConfig, d: dict) -> RunOutput:
              res.coverage, res.se_coverage, res.nominal_coverage,
              res.theory_Et, res.combined_se, res.expansion_passed,
              res.non_crossing_fraction]]
-    flags = list(constants.flags)
+    flags = list(res.constants.flags)
     if res.non_crossing_fraction > 0.01:
         flags.append(f"non-crossing fraction {res.non_crossing_fraction} "
                      f"exceeds 1%")
     return RunOutput(header, rows, None, flags, res.non_crossing_fraction,
-                     extra=_constants_extra(constants))
+                     _constants_extra(res.constants))
 
 
-def _run_example_rst(cfg: ExperimentConfig, d: dict) -> RunOutput:
-    model = build_model(cfg)
+def _run_example_rst(cfg, model, stream) -> RunOutput:
     calibrated = cfg.a is None
     if calibrated:
-        maxima = np.concatenate(
-            _gather(_payloads(d, "maxima", cfg.calibration_reps, shift=5),
-                    cfg.workers))
-        a = float(np.quantile(maxima, 1.0 - cfg.level))
+        a = calibrate_lrt_boundary(model.arrival_rate, cfg.horizon,
+                                   cfg.calibration_reps, stream, cfg.level,
+                                   model.n0, cfg.workers)
     else:
         a = float(cfg.a)
-    collected = np.vstack(
-        _gather(_payloads(d, "ex2", cfg.reps, a=a), cfg.workers))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = example2_run(model, a, cfg.reps, cfg.horizon,
-                           RngStream(cfg.seed), collected=collected)
+    res = example2_run(model, a, cfg.reps, cfg.horizon, stream, cfg.workers)
     header = ("a", "calibrated", "horizon", "reps", "theta", "rejection_rate",
               "se_rejection", "mean_t_rejected", "se_t_rejected")
     rows = [[res.a, calibrated, res.horizon, res.reps, res.theta,
@@ -376,12 +226,26 @@ _RUNNERS = {
 }
 
 
+def _warning_counts(caught) -> List[dict]:
+    """Each distinct warning with its count, in order of first appearance."""
+    counts = Counter((w.category.__name__, str(w.message)) for w in caught)
+    return [{"category": cat, "message": msg, "count": n}
+            for (cat, msg), n in counts.items()]
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; write `<kind>.csv` and `manifest.json`
     under cfg.out.  Returns the process exit code."""
     validate_for_kind(cfg)
     started = time.monotonic()
-    out = _RUNNERS[cfg.kind](cfg, cfg.to_dict())
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = _RUNNERS[cfg.kind](cfg, build_model(cfg),
+                                     RngStream(cfg.seed))
+    finally:
+        raise_again(caught)
     wall = time.monotonic() - started
     os.makedirs(cfg.out, exist_ok=True)
     table = os.path.join(cfg.out, f"{cfg.kind}.csv")
@@ -396,6 +260,7 @@ def run(cfg: ExperimentConfig) -> int:
         "non_crossing_rate": out.non_crossing_rate,
         "passed": out.passed,
         "flags": out.flags,
+        "warnings": _warning_counts(caught),
         "table": os.path.basename(table),
     }
     manifest.update(out.extra)
@@ -431,10 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 d[name] = v
         cfg = ExperimentConfig.from_dict(d)
         return run(cfg)
-    except RenewalSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (RenewalSimError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,15 +15,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolationError
 from .laws import CovarianceEstimate, IncrementLaw, VectorLaw
 from .mixture import ChiSquareMixture, mixture_weights
-from .perturbation import (QuadraticSpec, ResidualSpec, StationarySpec,
-                           zeta_quadratic_path)
+from .perturbation import QuadraticSpec, ResidualSpec, StationarySpec
+from .parallel import map_replications
 from .rng import RngStream
 
 _CHUNK = 256
@@ -100,15 +101,12 @@ class PerturbedWalkModel:
         if self.stationary.kind == "zero":
             return 0.0
         sd = self.stationary.xi_sd_analytic(self.increment_law)
-        if sd is not None:
-            mean = 0.0 if self.stationary.kind == "zero" else None
-            if self.stationary.h == "identity" and mean is None:
-                geom = 1.0 if self.stationary.kind == "instantaneous" else \
-                    (1.0 - self.stationary.beta ** self.stationary.truncation_depth) \
-                    / (1.0 - self.stationary.beta)
-                mean = self.increment_law.mean * geom - self.stationary.centering
-            if mean is not None:
-                return abs(mean) + 10.0 * sd
+        if sd is not None and self.stationary.h == "identity":
+            geom = 1.0 if self.stationary.kind == "instantaneous" else \
+                (1.0 - self.stationary.beta ** self.stationary.truncation_depth) \
+                / (1.0 - self.stationary.beta)
+            mean = self.increment_law.mean * geom - self.stationary.centering
+            return abs(mean) + 10.0 * sd
         base = stream if stream is not None else RngStream(0x5EED)
         gen = base.with_stream(base.stream_id + 101).generator()
         D = max(self.stationary.depth, 1)
@@ -311,6 +309,21 @@ def estimate_Et(model: PerturbedWalkModel, a: float, reps: int,
     return summarize_passage(collect_passage(model, a, reps, stream))
 
 
+def summarize_levels(model: PerturbedWalkModel, a_grid: Sequence[float],
+                     reps: int, stream: RngStream, workers: int = 1
+                     ) -> Tuple[PassageSummary, ...]:
+    """One passage summary per level of the grid; level i draws on
+    sub-stream stream_id + 10 + i."""
+    summaries = []
+    for i, a in enumerate(a_grid):
+        level = stream.with_stream(stream.stream_id + 10 + i)
+        parts = map_replications(
+            partial(collect_passage, model, float(a), stream=level), reps,
+            workers)
+        summaries.append(summarize_passage(PassageSamples.concatenate(parts)))
+    return tuple(summaries)
+
+
 # -- backward functional ------------------------------------------------
 
 def recommended_backward_depth(mu: float, sigma2: float,
@@ -349,16 +362,6 @@ def residual_dip_probability(depth: int, mu: float, sigma2: float,
 
 
 @dataclass(frozen=True)
-class BackwardFunctionalSample:
-    """One replication of the backward minimum functional."""
-
-    inf_value: float
-    xi0: float
-    truncation_depth: int
-    attained_index: int
-
-
-@dataclass(frozen=True)
 class BackwardBatch:
     """Vectorized backward samples: inf_{j<=-1} Z*_j and xi_0 per rep."""
 
@@ -372,11 +375,6 @@ class BackwardBatch:
     @property
     def reps(self) -> int:
         return len(self.inf_value)
-
-    def sample(self, i: int) -> BackwardFunctionalSample:
-        return BackwardFunctionalSample(
-            float(self.inf_value[i]), float(self.xi0[i]), self.depth_cap,
-            int(self.attained_index[i]))
 
     @staticmethod
     def concatenate(parts: "list[BackwardBatch]") -> "BackwardBatch":
@@ -466,15 +464,22 @@ def backward_min_functional(model: PerturbedWalkModel, depth: Optional[int],
     return BackwardBatch(inf_v, xi0, first, attained, truncated, cap)
 
 
-def excess_cdf_from_backward(batch: BackwardBatch, r_grid: np.ndarray,
-                             mu: float) -> np.ndarray:
-    """Limiting excess CDF F(r) = E[min((inf)_+, r)] / mu on a grid."""
+def excess_cdf_from_backward(batch: BackwardBatch,
+                             r_grid: np.ndarray) -> np.ndarray:
+    """Limiting excess CDF F(r) = E[min((inf)_+, r)] / E[(inf)_+] on a grid.
+
+    The batch's own mean of (inf)_+ stands for mu (the two agree in the
+    limit), so F reaches exactly 1 and the batch's Monte Carlo mass error
+    stays out of the CDF; constants_from_batch checks that mass.
+    """
     vplus = np.sort(np.maximum(batch.inf_value, 0.0))
     n = len(vplus)
     prefix = np.concatenate([[0.0], np.cumsum(vplus)])
+    if prefix[-1] <= 0.0:
+        raise ContractViolationError("backward batch has no positive mass")
     r = np.asarray(r_grid, dtype=float)
     k = np.searchsorted(vplus, r, side="left")  # values below each r
-    return (prefix[k] + r * (n - k)) / (n * mu)
+    return (prefix[k] + r * (n - k)) / prefix[-1]
 
 
 @dataclass(frozen=True)
@@ -545,12 +550,23 @@ def constants_from_batch(batch: BackwardBatch, mu: float, sigma2: float,
         flags=tuple(flags))
 
 
+def experiment_backward(model: PerturbedWalkModel, depth: Optional[int],
+                        reps: int, stream: RngStream,
+                        workers: int = 1) -> BackwardBatch:
+    """The backward batch of the experiment seeded by ``stream``; it draws
+    on sub-stream stream_id + 3, apart from the passage draws."""
+    back = stream.with_stream(stream.stream_id + 3)
+    return BackwardBatch.concatenate(map_replications(
+        partial(backward_min_functional, model, depth, stream=back), reps,
+        workers))
+
+
 def estimate_rho_nu(model: PerturbedWalkModel, depth: Optional[int],
                     reps: int, stream: RngStream,
-                    batch: Optional[BackwardBatch] = None) -> RenewalConstants:
+                    workers: int = 1) -> RenewalConstants:
     """Estimate rho and nu for a perturbed-walk model via the backward
-    minimum functional; see constants_from_batch for the identities."""
-    if batch is None:
-        batch = backward_min_functional(model, depth, reps, stream)
+    minimum functional (see experiment_backward for its sub-stream and
+    constants_from_batch for the identities)."""
+    batch = experiment_backward(model, depth, reps, stream, workers)
     return constants_from_batch(batch, model.mu, model.sigma2,
                                 model.mixture_mean_value())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -22,10 +23,15 @@ from .errors import (ConfigurationError, ContractViolationError,
 from .first_passage import (BackwardBatch, RenewalConstants, _backward_core,
                             constants_from_batch,
                             recommended_backward_depth)
+from .parallel import map_replications
 from .perturbation import StationarySpec
 from .rng import RngStream
 
 _TRIAL_BLOCK = 256
+# rows per block of the (rows x n) count matrices: small enough (a few
+# hundred kB at n ~ 500) that the allocator reuses their memory from one
+# block to the next instead of returning it and faulting it in again
+_COUNT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,56 @@ class GDerivatives:
     g20: float
     g11: float
     g02: float
+
+
+# g and its partials for the two built-in statistics, at module level so
+# that a model holding them pickles to workers
+def _fwci_g(x, y):
+    return y ** 2 / x ** 2
+
+
+def _fwci_g10(x, y):
+    return -2.0 * y ** 2 / x ** 3
+
+
+def _fwci_g01(x, y):
+    return 2.0 * y / x ** 2
+
+
+def _fwci_g20(x, y):
+    return 6.0 * y ** 2 / x ** 4
+
+
+def _fwci_g11(x, y):
+    return -4.0 * y / x ** 3
+
+
+def _fwci_g02(x, y):
+    return 2.0 / x ** 2
+
+
+def _lrt_g(x, y):
+    return x * np.log(x / y) + (y - x)
+
+
+def _lrt_g10(x, y):
+    return np.log(x / y)
+
+
+def _lrt_g01(x, y):
+    return 1.0 - x / y
+
+
+def _lrt_g20(x, y):
+    return 1.0 / x
+
+
+def _lrt_g11(x, y):
+    return -1.0 / y
+
+
+def _lrt_g02(x, y):
+    return x / y ** 2
 
 
 @dataclass(frozen=True)
@@ -64,27 +120,15 @@ class GStatistic:
     def fixed_width_ci() -> "GStatistic":
         """g(x, y) = y^2/x^2, the inverse squared hazard estimate; crossing
         a = c^2/h^2 makes the +-h interval for the hazard have width 2h."""
-        return GStatistic(
-            "fixed_width_ci",
-            g=lambda x, y: y ** 2 / x ** 2,
-            g10=lambda x, y: -2.0 * y ** 2 / x ** 3,
-            g01=lambda x, y: 2.0 * y / x ** 2,
-            g20=lambda x, y: 6.0 * y ** 2 / x ** 4,
-            g11=lambda x, y: -4.0 * y / x ** 3,
-            g02=lambda x, y: 2.0 / x ** 2)
+        return GStatistic("fixed_width_ci", _fwci_g, _fwci_g10, _fwci_g01,
+                          _fwci_g20, _fwci_g11, _fwci_g02)
 
     @staticmethod
     def repeated_lrt() -> "GStatistic":
         """g(x, y) = x log(x/y) + (y - x), the log-likelihood ratio per
         patient for testing unit failure rate."""
-        return GStatistic(
-            "repeated_lrt",
-            g=lambda x, y: x * np.log(x / y) + (y - x),
-            g10=lambda x, y: np.log(x / y),
-            g01=lambda x, y: 1.0 - x / y,
-            g20=lambda x, y: 1.0 / x,
-            g11=lambda x, y: -1.0 / y,
-            g02=lambda x, y: x / y ** 2)
+        return GStatistic("repeated_lrt", _lrt_g, _lrt_g10, _lrt_g01,
+                          _lrt_g20, _lrt_g11, _lrt_g02)
 
     @staticmethod
     def custom(g: Callable, g10: Callable, g01: Callable, g20: Callable,
@@ -226,8 +270,8 @@ def _counts_over_range(tau: np.ndarray, L: np.ndarray, j_lo: int,
     k_idx = np.arange(1, j_hi + 1)
     L_row = L[:j_hi]
     tau_row = tau[:j_hi]
-    for lo in range(j_lo, j_hi + 1, _TRIAL_BLOCK):
-        hi = min(lo + _TRIAL_BLOCK - 1, j_hi)
+    for lo in range(j_lo, j_hi + 1, _COUNT_ROWS):
+        hi = min(lo + _COUNT_ROWS - 1, j_hi)
         j_col = np.arange(lo, hi + 1)
         obs = tau[j_col][:, None] - tau_row[None, :]
         mask = k_idx[None, :] <= j_col[:, None]
@@ -434,19 +478,20 @@ def staggered_backward_batch(model: StaggeredExponentialModel, reps: int,
 
 def staggered_constants(model: StaggeredExponentialModel, reps: int,
                         stream: RngStream, depth: Optional[int] = None,
-                        batch: Optional[BackwardBatch] = None
-                        ) -> RenewalConstants:
+                        workers: int = 1) -> RenewalConstants:
     """Expansion constants for the trial statistic via the backward
-    minimum functional driven by (lifetime, interarrival) pairs.
+    minimum functional driven by (lifetime, interarrival) pairs, drawn
+    on sub-stream stream_id + 3.
 
     The walk increment is g(1,1/theta) + g01 (L_k - 1/theta); xi is the
     stationary residual-lifetime functional truncated where the
-    survival probability of a lag falls below 1e-14.  ``batch`` may
-    carry pre-collected backward samples (parallel runs).
+    survival probability of a lag falls below 1e-14.
     """
     _, mu, sigma2, lam, _, _ = _expansion_ingredients(model)
-    if batch is None:
-        batch = staggered_backward_batch(model, reps, stream, depth)
+    back = stream.with_stream(stream.stream_id + 3)
+    batch = BackwardBatch.concatenate(map_replications(
+        partial(staggered_backward_batch, model, stream=back, depth=depth),
+        reps, workers))
     return constants_from_batch(batch, mu, sigma2, lam)
 
 
@@ -495,15 +540,12 @@ def example1_run(model: StaggeredExponentialModel, h: float, c: float,
                  reps: int, stream: RngStream,
                  backward_reps: Optional[int] = None,
                  depth: Optional[int] = None,
-                 collected: Optional[np.ndarray] = None,
-                 constants: Optional[RenewalConstants] = None
-                 ) -> Example1Result:
+                 workers: int = 1) -> Example1Result:
     """Stop when the +-h interval for the hazard reaches confidence c;
     report Ê(t_a), coverage of theta, and the expansion prediction.
 
     The boundary is a = c^2/h^2; at stopping, the interval is
-    K_t/T*_t +- h.  ``collected`` and ``constants`` may carry
-    pre-computed pieces (parallel runs).
+    K_t/T*_t +- h.
     """
     if model.g.kind != "fixed_width_ci":
         raise ConfigurationError("example 1 needs the fixed_width_ci "
@@ -511,9 +553,8 @@ def example1_run(model: StaggeredExponentialModel, h: float, c: float,
     if h <= 0 or c <= 0:
         raise ConfigurationError("h and c must be > 0", "example1.h")
     a = c * c / (h * h)
-    if collected is None:
-        collected = example1_collect(model, a, h, reps, stream)
-    reps = collected.shape[0]
+    collected = np.vstack(map_replications(
+        partial(example1_collect, model, a, h, stream=stream), reps, workers))
     t_vals = collected[:, 0]
     covered = collected[:, 1].astype(bool)
     ok = collected[:, 2].astype(bool)
@@ -527,10 +568,8 @@ def example1_run(model: StaggeredExponentialModel, h: float, c: float,
     se_t = float(np.std(t_vals[ok], ddof=1) / math.sqrt(n_ok))
     cov = float(np.mean(covered[ok]))
     se_cov = math.sqrt(max(cov * (1.0 - cov), 1e-12) / n_ok)
-    if constants is None:
-        constants = staggered_constants(
-            model, backward_reps or reps,
-            stream.with_stream(stream.stream_id + 3), depth)
+    constants = staggered_constants(model, backward_reps or reps, stream,
+                                    depth, workers)
     theory = (a + constants.rho - constants.nu - constants.lam) / constants.mu
     combined = math.hypot(se_t, math.hypot(constants.se_rho, constants.se_nu)
                           / constants.mu)
@@ -574,21 +613,20 @@ def example2_collect(model: StaggeredExponentialModel, a: float, horizon: int,
 
 def example2_run(model: StaggeredExponentialModel, a: float, reps: int,
                  horizon: int, stream: RngStream,
-                 collected: Optional[np.ndarray] = None) -> Example2Result:
+                 workers: int = 1) -> Example2Result:
     """Run the repeated likelihood-ratio test to the horizon.
 
     Under theta = 1 the rejection rate is the type-I-error proxy; under
     an alternative it is a power proxy, with Ê(t_a) over rejecting paths.
-    ``collected`` may carry pre-collected trial rows (parallel runs).
     """
     if model.g.kind != "repeated_lrt":
         raise ConfigurationError("example 2 needs the repeated_lrt "
                                  "statistic", "example2.g")
     if a <= 0:
         raise ConfigurationError("a must be > 0", "example2.a")
-    if collected is None:
-        collected = example2_collect(model, a, horizon, reps, stream)
-    reps = collected.shape[0]
+    collected = np.vstack(map_replications(
+        partial(example2_collect, model, a, horizon, stream=stream), reps,
+        workers))
     t_vals = collected[:, 0]
     rejected = collected[:, 1].astype(bool)
     rate = float(np.mean(rejected))
@@ -623,15 +661,17 @@ def calibrate_lrt_maxima(arrival_rate: float, horizon: int, reps: int,
 
 def calibrate_lrt_boundary(arrival_rate: float, horizon: int, reps: int,
                            stream: RngStream, level: float = 0.05,
-                           n0: int = 1,
-                           maxima: Optional[np.ndarray] = None) -> float:
+                           n0: int = 1, workers: int = 1) -> float:
     """Choose a so that the unit-rate trial crosses within the horizon
-    with probability about ``level`` (MC quantile of the running max).
+    with probability about ``level`` (MC quantile of the running max,
+    the maxima drawn on sub-stream stream_id + 5).
 
     The boundary is a calibration artifact, not a closed form.
     """
     if not 0.0 < level < 1.0:
         raise ConfigurationError("level must be in (0,1)", "calibrate.level")
-    if maxima is None:
-        maxima = calibrate_lrt_maxima(arrival_rate, horizon, reps, stream, n0)
+    calib = stream.with_stream(stream.stream_id + 5)
+    maxima = np.concatenate(map_replications(
+        partial(calibrate_lrt_maxima, arrival_rate, horizon, stream=calib,
+                n0=n0), reps, workers))
     return float(np.quantile(maxima, 1.0 - level))

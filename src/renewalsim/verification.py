@@ -12,18 +12,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, ContractViolationError
-from .first_passage import (BackwardBatch, PassageSamples, PassageSummary,
-                            PerturbedWalkModel, RenewalConstants, _PathEngine,
-                            backward_min_functional, collect_passage,
+from .first_passage import (PassageSamples, PerturbedWalkModel,
+                            RenewalConstants, _PathEngine, collect_passage,
                             estimate_rho_nu, excess_cdf_from_backward,
-                            summarize_passage)
+                            experiment_backward, summarize_levels)
 from .mixture import mixture_cdf
+from .parallel import map_replications
 from .perturbation import zeta_window_path
 from .rng import RngStream
 
@@ -54,13 +55,26 @@ class WindowBounds:
         return WindowBounds(q, a, m, M)
 
 
+def _all_paths(windows, xi):
+    return np.ones(len(xi), dtype=bool)
+
+
+def _no_path(windows, xi):
+    return np.zeros(len(xi), dtype=bool)
+
+
+def _xi_at_most(c, windows, xi):
+    return xi <= c
+
+
 @dataclass(frozen=True)
 class EventPredicate:
     """Cylinder-set event over the recent driving window and derived xi_n.
 
     ``fn(windows, xi)`` receives the (k, window_depth) array of driving
     windows (oldest first; absent when window_depth=0) and the k values
-    of xi_n, and returns a boolean array of length k.
+    of xi_n, and returns a boolean array of length k.  The built-in
+    predicates use module-level functions, so they pickle to workers.
     """
 
     description: str
@@ -69,17 +83,15 @@ class EventPredicate:
 
     @staticmethod
     def always_true() -> "EventPredicate":
-        return EventPredicate("all paths", 0,
-                              lambda w, xi: np.ones(len(xi), dtype=bool))
+        return EventPredicate("all paths", 0, _all_paths)
 
     @staticmethod
     def never() -> "EventPredicate":
-        return EventPredicate("impossible event", 0,
-                              lambda w, xi: np.zeros(len(xi), dtype=bool))
+        return EventPredicate("impossible event", 0, _no_path)
 
     @staticmethod
     def xi_leq(c: float) -> "EventPredicate":
-        return EventPredicate(f"xi_n <= {c}", 0, lambda w, xi: xi <= c)
+        return EventPredicate(f"xi_n <= {c}", 0, partial(_xi_at_most, c))
 
     def evaluate(self, windows: Optional[np.ndarray],
                  xi: np.ndarray) -> np.ndarray:
@@ -211,21 +223,20 @@ def theorem1_counts(model: PerturbedWalkModel, B: EventPredicate, y: float,
 
 def theorem1_experiment(model: PerturbedWalkModel, B: EventPredicate, y: float,
                         a: float, b: float, reps: int, stream: RngStream,
-                        counts: Optional[np.ndarray] = None) -> TheoremReport:
+                        workers: int = 1) -> TheoremReport:
     """Estimate the expected count of indices with (W_n in B, zeta_n <= y,
     a < Z_n <= a+b) and compare with (b/mu) * P[B] * L(y).
 
     The left side averages per-path counts; P[B] comes from an
-    independent stationary sample on a separate sub-stream and L from
-    the quadrature of the mixture law.  ``counts`` may carry
-    pre-collected per-path counts (parallel runs).
+    independent stationary sample on sub-stream stream_id + 7 and L from
+    the quadrature of the mixture law.
     """
     if b > model.mu:
         warnings.warn(f"width b={b} exceeds mu={model.mu}; the product-form "
                       f"limit is proved for b <= mu", RuntimeWarning)
-    if counts is None:
-        counts = theorem1_counts(model, B, y, a, b, reps, stream)
-    reps = len(counts)
+    counts = np.concatenate(map_replications(
+        partial(theorem1_counts, model, B, y, a, b, stream=stream), reps,
+        workers))
     est, se_est = _mean_se(counts)
     wins_stat, xi_stat = _stationary_xi_sample(
         model, max(reps, 10_000),
@@ -251,6 +262,7 @@ class Theorem3Result:
     corr_zeta_R: float
     corr_zeta_xi: float
     quadrant_chi2: float
+    non_crossing_fraction: float
 
     @property
     def passed(self) -> bool:
@@ -261,20 +273,15 @@ def theorem3_experiment(model: PerturbedWalkModel, a: float, reps: int,
                         stream: RngStream,
                         backward_reps: Optional[int] = None,
                         depth: Optional[int] = None,
-                        samples: Optional[PassageSamples] = None,
-                        batch: Optional[BackwardBatch] = None
-                        ) -> Theorem3Result:
+                        workers: int = 1) -> Theorem3Result:
     """Compare the stopped triple (R_a, xi, zeta) with its product-form limit.
 
     Checks: (i) the R_a marginal against the backward-functional CDF,
     (ii) the zeta marginal against the mixture quadrature, (iii)
     factorization via correlations and a median-split quadrant count.
-    ``samples`` and ``batch`` may carry pre-collected draws (parallel
-    runs); otherwise both are sampled here.
     """
-    if samples is None:
-        samples = collect_passage(model, a, reps, stream)
-    reps = len(samples.t)
+    samples = PassageSamples.concatenate(map_replications(
+        partial(collect_passage, model, a, stream=stream), reps, workers))
     ok = samples.crossed
     n = int(np.count_nonzero(ok))
     if n < reps:
@@ -283,15 +290,13 @@ def theorem3_experiment(model: PerturbedWalkModel, a: float, reps: int,
     R = samples.R[ok]
     xi = samples.xi[ok]
     zeta = samples.zeta[ok]
-    if batch is None:
-        batch = backward_min_functional(
-            model, depth, backward_reps or reps,
-            stream.with_stream(stream.stream_id + 3))
+    batch = experiment_backward(model, depth, backward_reps or reps, stream,
+                                workers)
     m = len(batch.inf_value)
     # (i) excess marginal vs backward-induced CDF on the R grid
     r_sorted = np.sort(R)
     emp = np.arange(1, n + 1) / n
-    theo = excess_cdf_from_backward(batch, r_sorted, model.mu)
+    theo = excess_cdf_from_backward(batch, r_sorted)
     excess_dist = float(np.max(np.abs(emp - theo)))
     thr_excess = _KS_COEF_1PCT * math.sqrt((n + m) / (n * m))
     reports = [TheoremReport("excess marginal sup-distance", excess_dist, 0.0,
@@ -337,7 +342,7 @@ def theorem3_experiment(model: PerturbedWalkModel, a: float, reps: int,
     reports.append(TheoremReport("quadrant chi-square", chi2, 0.0,
                                  6.635 / 3.0, n))
     return Theorem3Result(a, reps, tuple(reports), excess_dist, zeta_dist,
-                          c_zr, c_zx, chi2)
+                          c_zr, c_zx, chi2, 1.0 - n / reps)
 
 
 @dataclass(frozen=True)
@@ -384,35 +389,20 @@ def theorem4_experiment(model: PerturbedWalkModel, a_grid: Sequence[float],
                         reps: int, stream: RngStream,
                         depth: Optional[int] = None,
                         backward_reps: Optional[int] = None,
-                        constants: Optional[RenewalConstants] = None,
-                        summaries: Optional[Sequence[PassageSummary]] = None
-                        ) -> Theorem4Result:
-    """Tabulate E(t_a) against the first-order expansion over a grid.
-
-    ``constants`` and ``summaries`` (one per grid level, in order) may
-    carry pre-computed pieces; otherwise both are sampled here, each
-    level on sub-stream stream_id + 10 + i.
-    """
+                        workers: int = 1) -> Theorem4Result:
+    """Tabulate E(t_a) against the first-order expansion over a grid
+    (constants from estimate_rho_nu, levels from summarize_levels)."""
     if len(a_grid) == 0:
         raise ConfigurationError("a_grid must be non-empty", "theorem4.a_grid")
-    if summaries is not None and len(summaries) != len(a_grid):
-        raise ConfigurationError("summaries must match a_grid",
-                                 "theorem4.summaries")
-    if constants is None:
-        constants = estimate_rho_nu(model, depth, backward_reps or reps,
-                                    stream.with_stream(stream.stream_id + 3))
+    constants = estimate_rho_nu(model, depth, backward_reps or reps, stream,
+                                workers)
+    summaries = summarize_levels(model, a_grid, reps, stream, workers)
     mu = constants.mu
     corr = constants.rho - constants.nu - constants.lam
     se_corr = math.hypot(constants.se_rho, constants.se_nu)
     rows = []
     worst_ncf = 0.0
-    for i, a in enumerate(a_grid):
-        if summaries is not None:
-            summ = summaries[i]
-        else:
-            summ = summarize_passage(collect_passage(
-                model, float(a), reps,
-                stream.with_stream(stream.stream_id + 10 + i)))
+    for a, summ in zip(a_grid, summaries):
         worst_ncf = max(worst_ncf, summ.non_crossing_fraction)
         theory = (float(a) + corr) / mu
         rows.append(Theorem4Row(
@@ -476,24 +466,21 @@ def lemma1_collect(model: PerturbedWalkModel, q: float, a: float, reps: int,
 
 def lemma1_diagnostic(model: PerturbedWalkModel, q: float,
                       a_grid: Sequence[float], reps: int, stream: RngStream,
-                      collected: Optional[Sequence[np.ndarray]] = None
-                      ) -> Tuple[Lemma1Row, ...]:
+                      workers: int = 1) -> Tuple[Lemma1Row, ...]:
     """Estimate the early-crossing mass Delta_0, the late-lag mass
     Delta_1 (width a^(1-q)/2), and the stopping tail sum
     E(t_a - M)_+ on a grid of levels.
 
     Each is an expected count of path indices; all three vanish as a
     grows, which is what the acceptance trend checks assert.
-    ``collected`` may carry pre-collected per-level arrays.
     """
     rows = []
-    for i, a in enumerate(a_grid):
+    for a in a_grid:
         a = float(a)
         wb = WindowBounds.for_level(q, a, model.mu)
-        if collected is not None:
-            vals = collected[i]
-        else:
-            vals = lemma1_collect(model, q, a, reps, stream)
+        vals = np.vstack(map_replications(
+            partial(lemma1_collect, model, q, a, stream=stream), reps,
+            workers))
         d0, s0 = _mean_se(vals[:, 0])
         d1, s1 = _mean_se(vals[:, 1])
         tl, stl = _mean_se(vals[:, 2])
@@ -536,25 +523,20 @@ def lemma3_collect(model: PerturbedWalkModel, q: float, eps: float, a: float,
 
 def lemma3_diagnostic(model: PerturbedWalkModel, q: float, eps: float,
                       a_grid: Sequence[float], reps: int, stream: RngStream,
-                      collected: Optional[Sequence[np.ndarray]] = None
-                      ) -> Tuple[Lemma3Row, ...]:
+                      workers: int = 1) -> Tuple[Lemma3Row, ...]:
     """Expected count of indices n in (m, M] where the slowly-changing
-    term and its windowed coupling differ by at least eps.
-
-    ``collected`` may carry pre-collected per-level count arrays.
-    """
+    term and its windowed coupling differ by at least eps."""
     if eps <= 0:
         raise ConfigurationError("eps must be > 0", "lemma3.eps")
     if model.quadratic is None:
         return tuple(Lemma3Row(float(a), 0, 0, 0.0, 0.0) for a in a_grid)
     rows = []
-    for i, a in enumerate(a_grid):
+    for a in a_grid:
         a = float(a)
         wb = WindowBounds.for_level(q, a, model.mu)
-        if collected is not None:
-            counts = collected[i]
-        else:
-            counts = lemma3_collect(model, q, eps, a, reps, stream)
+        counts = np.concatenate(map_replications(
+            partial(lemma3_collect, model, q, eps, a, stream=stream), reps,
+            workers))
         c, s = _mean_se(counts)
         rows.append(Lemma3Row(a, wb.m, wb.M, c, s))
     return tuple(rows)

@@ -194,35 +194,51 @@ def test_interval_estimate_coverage():
     assert ok
 
 
+_EXP1 = {"family": "exponential", "params": {"rate": 1.0}}
+_TM1 = {"kind": "perturbed_walk", "increment": _EXP1,
+        "vector": {"kind": "centered_x", "coeffs": [1.0]},
+        "stationary": {"kind": "geometric_ma", "h": "identity", "beta": 0.5,
+                       "centered": True},
+        "quadratic": {"Q": [[0.5]]}}
+# no quadratic term, so verify-thm3 skips the per-sample mixture CDF
+_GMA = {k: v for k, v in _TM1.items() if k != "quadratic"}
+_FWCI = {"kind": "staggered", "arrival_rate": 1.0, "theta": 1.0,
+         "g": "fixed_width_ci"}
+_LRT = dict(_FWCI, g="repeated_lrt")
+
+# one small config per CLI kind, each with more than one 1024-replication
+# chunk so that two workers run it through the process pool
+_INVARIANCE_DOCS = {
+    "simulate": {"reps": 2500, "a_grid": [30.0], "model": _TM1},
+    "constants": {"reps": 1500, "model": _TM1},
+    "verify-thm1": {"reps": 1500, "a": 20.0, "b": 0.5, "y": "median",
+                    "predicate": {"kind": "xi_leq", "c": 0.0},
+                    "model": _TM1},
+    "verify-thm3": {"reps": 1500, "a": 20.0, "model": _GMA},
+    "verify-thm4": {"reps": 1500, "a_grid": [10.0, 20.0], "model": _TM1},
+    "diag-lemma1": {"reps": 1500, "a_grid": [30.0], "model": _TM1},
+    "diag-lemma3": {"reps": 1500, "a_grid": [30.0], "model": _TM1},
+    "example-fwci": {"reps": 1500, "h": 0.5, "c": 1.96, "model": _FWCI},
+    "example-rst": {"reps": 1100, "horizon": 40, "calibration_reps": 1100,
+                    "model": _LRT},
+}
+
+
 def test_worker_count_invariance(tmp_path):
-    walk_doc = {
-        "kind": "simulate", "seed": 31, "reps": 2500, "a_grid": [30.0],
-        "model": {
-            "kind": "perturbed_walk",
-            "increment": {"family": "exponential", "params": {"rate": 1.0}},
-            "vector": {"kind": "centered_x", "coeffs": [1.0]},
-            "stationary": {"kind": "geometric_ma", "h": "identity",
-                           "beta": 0.5, "centered": True},
-            "quadratic": {"Q": [[0.5]]},
-        },
-    }
-    stag_doc = {
-        "kind": "example-fwci", "seed": 32, "reps": 1500, "h": 0.5, "c": 1.96,
-        "model": {"kind": "staggered", "arrival_rate": 1.0, "theta": 1.0,
-                  "g": "fixed_width_ci"},
-    }
-    results = []
-    for label, doc, csv_name in (("walk", walk_doc, "simulate.csv"),
-                                 ("trial", stag_doc, "example-fwci.csv")):
-        blobs = []
-        for w in (1, 3):
-            out = tmp_path / f"{label}{w}"
+    t0 = time.monotonic()
+    unequal = []
+    for seed, (kind, doc) in enumerate(_INVARIANCE_DOCS.items(), start=31):
+        runs = []
+        for w in (1, 2):
+            out = tmp_path / f"{kind}-{w}"
             cfg = ExperimentConfig.from_dict(
-                dict(doc, out=str(out), workers=w))
-            assert cli_run(cfg) == 0
-            blobs.append((out / csv_name).read_bytes())
-        results.append(blobs[0] == blobs[1])
-    ok = all(results)
+                dict(doc, kind=kind, seed=seed, out=str(out), workers=w))
+            code = cli_run(cfg)
+            runs.append((code, (out / f"{kind}.csv").read_bytes()))
+        if runs[0] != runs[1]:
+            unequal.append(kind)
+    ok = not unequal
     _line("worker-count invariance", ok,
-          f"walk bytes equal={results[0]}, trial bytes equal={results[1]}")
+          f"{len(_INVARIANCE_DOCS)} kinds, 1 vs 2 workers, CSV bytes differ "
+          f"for {unequal or 'none'}, {time.monotonic() - t0:.0f}s")
     assert ok

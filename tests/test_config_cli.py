@@ -148,7 +148,7 @@ def read_results(out_dir, kind):
 
 MANIFEST_KEYS = {"kind", "config_sha256", "seed", "replications",
                  "toolkit_version", "wall_time_seconds", "non_crossing_rate",
-                 "passed", "flags", "table"}
+                 "passed", "flags", "warnings", "table"}
 
 
 def test_cli_simulate_outputs(tmp_path, config_file):
@@ -229,6 +229,21 @@ def test_cli_flags_non_crossing_and_exits_1(tmp_path, config_file):
     assert manifest["flags"]
     assert manifest["non_crossing_rate"] > 0.01
     assert float(table[1][8]) == manifest["non_crossing_rate"]
+
+
+def test_cli_manifest_lists_worker_warnings(tmp_path, config_file):
+    listed = []
+    for w in (1, 2):
+        out = tmp_path / f"w{w}"
+        doc = {"kind": "constants", "seed": 5, "reps": 1500, "depth": 5,
+               "out": str(out), "workers": w, "model": WALK_MODEL}
+        with pytest.warns(RuntimeWarning, match="below recommended"):
+            main(["--config", config_file(doc, f"w{w}.yaml")])
+        _, manifest = read_results(out, "constants")
+        listed.append(manifest["warnings"])
+    below = [x for x in listed[0] if "below recommended" in x["message"]]
+    assert len(below) == 1 and below[0]["count"] == 2  # one per chunk
+    assert listed[0] == listed[1]
 
 
 def test_cli_constants_staggered(tmp_path, config_file):

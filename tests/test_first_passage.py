@@ -167,8 +167,16 @@ def test_normalization_flag_fires_on_bad_mu():
 def test_excess_cdf_hand_values():
     batch = make_batch([2.0, 0.0, 1.0, 3.0], np.zeros(4))
     grid = np.array([0.0, 0.5, 1.0, 2.0, 100.0])
-    out = excess_cdf_from_backward(batch, grid, mu=1.5)
+    out = excess_cdf_from_backward(batch, grid)
     assert np.allclose(out, [0.0, 0.25, 0.5, 5.0 / 6.0, 1.0])
+
+
+def test_excess_cdf_reaches_one_whatever_the_batch_mass():
+    # E(inf)_+ over this batch is 2.25, not the increment mean; the CDF
+    # is normalised by the batch's own mass, so it ends at exactly 1
+    batch = make_batch([0.5, 3.0, -1.0, 5.5], np.zeros(4))
+    out = excess_cdf_from_backward(batch, np.array([5.5, 6.0, 1e3]))
+    assert np.all(out == 1.0)
 
 
 def test_excess_cdf_matches_exponential():
@@ -176,7 +184,7 @@ def test_excess_cdf_matches_exponential():
     model = PerturbedWalkModel(increment_law=law)
     batch = backward_min_functional(model, None, 20_000, RngStream(14))
     grid = np.linspace(0.0, 5.0, 26)
-    out = excess_cdf_from_backward(batch, grid, mu=1.0)
+    out = excess_cdf_from_backward(batch, grid)
     assert np.max(np.abs(out - (1.0 - np.exp(-grid)))) < 0.02
 
 

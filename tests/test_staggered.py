@@ -317,14 +317,15 @@ def test_example2_rejects_wrong_statistic(fwci_model):
 
 
 def test_lrt_calibration_quantile():
-    maxima = calibrate_lrt_maxima(1.0, 120, 400, RngStream(45))
-    a = calibrate_lrt_boundary(1.0, 120, 400, RngStream(45), level=0.05,
-                               maxima=maxima)
+    # the boundary draws its maxima on sub-stream stream_id + 5
+    calib = RngStream(45, stream_id=5)
+    maxima = calibrate_lrt_maxima(1.0, 120, 400, calib)
+    a = calibrate_lrt_boundary(1.0, 120, 400, RngStream(45), level=0.05)
     assert a == pytest.approx(float(np.quantile(maxima, 0.95)))
     assert a > 0
     parts = np.concatenate([
-        calibrate_lrt_maxima(1.0, 120, 150, RngStream(45)),
-        calibrate_lrt_maxima(1.0, 120, 250, RngStream(45), rep_offset=150),
+        calibrate_lrt_maxima(1.0, 120, 150, calib),
+        calibrate_lrt_maxima(1.0, 120, 250, calib, rep_offset=150),
     ])
     assert np.array_equal(maxima, parts)
     with pytest.raises(ConfigurationError):

@@ -162,10 +162,11 @@ def test_lemma1_rows_and_chunking(tm1_model):
              for a in grid]
     for got, want in zip(collected, whole):
         assert np.array_equal(got, want)
-    rows = lemma1_diagnostic(tm1_model, 0.4, grid, 80, RngStream(25),
-                             collected=collected)
+    rows = lemma1_diagnostic(tm1_model, 0.4, grid, 80, RngStream(25))
     assert [r.a for r in rows] == grid
-    for r in rows:
+    for r, vals in zip(rows, whole):
+        assert [r.delta0, r.delta1, r.tail] == \
+            [vals[:, k].mean() for k in range(3)]
         assert r.m < r.M
         assert r.delta0 >= 0 and r.delta1 >= 0 and r.tail >= 0
         assert r.se0 >= 0 and r.se1 >= 0 and r.se_tail >= 0
