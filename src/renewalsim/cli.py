@@ -227,8 +227,15 @@ _RUNNERS = {
 
 
 def _warning_counts(caught) -> List[dict]:
-    """Each distinct warning with its count, in order of first appearance."""
-    counts = Counter((w.category.__name__, str(w.message)) for w in caught)
+    """Each distinct warning with its count, in order of first appearance.
+
+    Deprecation warnings speak of the interpreter and the libraries, not of
+    the run (os.fork raises one when a pool starts in a multi-threaded
+    process), so they reach the caller but stay out of the list.
+    """
+    counts = Counter((w.category.__name__, str(w.message)) for w in caught
+                     if not issubclass(w.category, (DeprecationWarning,
+                                                    PendingDeprecationWarning)))
     return [{"category": cat, "message": msg, "count": n}
             for (cat, msg), n in counts.items()]
 
@@ -238,14 +245,10 @@ def run(cfg: ExperimentConfig) -> int:
     under cfg.out.  Returns the process exit code."""
     validate_for_kind(cfg)
     started = time.monotonic()
-    caught = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = _RUNNERS[cfg.kind](cfg, build_model(cfg),
-                                     RngStream(cfg.seed))
-    finally:
-        raise_again(caught)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = _RUNNERS[cfg.kind](cfg, build_model(cfg), RngStream(cfg.seed))
+    raise_again(caught)
     wall = time.monotonic() - started
     os.makedirs(cfg.out, exist_ok=True)
     table = os.path.join(cfg.out, f"{cfg.kind}.csv")

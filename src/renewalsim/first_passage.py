@@ -550,22 +550,26 @@ def constants_from_batch(batch: BackwardBatch, mu: float, sigma2: float,
         flags=tuple(flags))
 
 
+def backward_stream(stream: RngStream) -> RngStream:
+    """The sub-stream (stream_id + 3) an experiment seeded by ``stream``
+    draws its backward batch on, apart from its passage draws."""
+    return stream.with_stream(stream.stream_id + 3)
+
+
 def experiment_backward(model: PerturbedWalkModel, depth: Optional[int],
                         reps: int, stream: RngStream,
                         workers: int = 1) -> BackwardBatch:
-    """The backward batch of the experiment seeded by ``stream``; it draws
-    on sub-stream stream_id + 3, apart from the passage draws."""
-    back = stream.with_stream(stream.stream_id + 3)
+    """The backward batch of the experiment seeded by ``stream``."""
     return BackwardBatch.concatenate(map_replications(
-        partial(backward_min_functional, model, depth, stream=back), reps,
-        workers))
+        partial(backward_min_functional, model, depth,
+                stream=backward_stream(stream)), reps, workers))
 
 
 def estimate_rho_nu(model: PerturbedWalkModel, depth: Optional[int],
                     reps: int, stream: RngStream,
                     workers: int = 1) -> RenewalConstants:
     """Estimate rho and nu for a perturbed-walk model via the backward
-    minimum functional (see experiment_backward for its sub-stream and
+    minimum functional (see backward_stream for its sub-stream and
     constants_from_batch for the identities)."""
     batch = experiment_backward(model, depth, reps, stream, workers)
     return constants_from_batch(batch, model.mu, model.sigma2,

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (ConfigurationError, ContractViolationError,
                      StatisticUndefinedError)
 from .first_passage import (BackwardBatch, RenewalConstants, _backward_core,
-                            constants_from_batch,
+                            backward_stream, constants_from_batch,
                             recommended_backward_depth)
 from .parallel import map_replications
 from .perturbation import StationarySpec
@@ -46,56 +46,6 @@ class GDerivatives:
     g02: float
 
 
-# g and its partials for the two built-in statistics, at module level so
-# that a model holding them pickles to workers
-def _fwci_g(x, y):
-    return y ** 2 / x ** 2
-
-
-def _fwci_g10(x, y):
-    return -2.0 * y ** 2 / x ** 3
-
-
-def _fwci_g01(x, y):
-    return 2.0 * y / x ** 2
-
-
-def _fwci_g20(x, y):
-    return 6.0 * y ** 2 / x ** 4
-
-
-def _fwci_g11(x, y):
-    return -4.0 * y / x ** 3
-
-
-def _fwci_g02(x, y):
-    return 2.0 / x ** 2
-
-
-def _lrt_g(x, y):
-    return x * np.log(x / y) + (y - x)
-
-
-def _lrt_g10(x, y):
-    return np.log(x / y)
-
-
-def _lrt_g01(x, y):
-    return 1.0 - x / y
-
-
-def _lrt_g20(x, y):
-    return 1.0 / x
-
-
-def _lrt_g11(x, y):
-    return -1.0 / y
-
-
-def _lrt_g02(x, y):
-    return x / y ** 2
-
-
 @dataclass(frozen=True)
 class GStatistic:
     """Smooth two-argument statistic g with its partial derivatives.
@@ -116,19 +66,37 @@ class GStatistic:
         if self.kind not in ("fixed_width_ci", "repeated_lrt", "custom"):
             raise ConfigurationError(f"unknown kind {self.kind!r}", "g.kind")
 
+    def __reduce_ex__(self, protocol):
+        # a built-in statistic pickles (to workers) as its constructor
+        if self.kind == "custom":
+            return super().__reduce_ex__(protocol)
+        return getattr(GStatistic, self.kind), ()
+
     @staticmethod
     def fixed_width_ci() -> "GStatistic":
         """g(x, y) = y^2/x^2, the inverse squared hazard estimate; crossing
         a = c^2/h^2 makes the +-h interval for the hazard have width 2h."""
-        return GStatistic("fixed_width_ci", _fwci_g, _fwci_g10, _fwci_g01,
-                          _fwci_g20, _fwci_g11, _fwci_g02)
+        return GStatistic(
+            "fixed_width_ci",
+            g=lambda x, y: y ** 2 / x ** 2,
+            g10=lambda x, y: -2.0 * y ** 2 / x ** 3,
+            g01=lambda x, y: 2.0 * y / x ** 2,
+            g20=lambda x, y: 6.0 * y ** 2 / x ** 4,
+            g11=lambda x, y: -4.0 * y / x ** 3,
+            g02=lambda x, y: 2.0 / x ** 2)
 
     @staticmethod
     def repeated_lrt() -> "GStatistic":
         """g(x, y) = x log(x/y) + (y - x), the log-likelihood ratio per
         patient for testing unit failure rate."""
-        return GStatistic("repeated_lrt", _lrt_g, _lrt_g10, _lrt_g01,
-                          _lrt_g20, _lrt_g11, _lrt_g02)
+        return GStatistic(
+            "repeated_lrt",
+            g=lambda x, y: x * np.log(x / y) + (y - x),
+            g10=lambda x, y: np.log(x / y),
+            g01=lambda x, y: 1.0 - x / y,
+            g20=lambda x, y: 1.0 / x,
+            g11=lambda x, y: -1.0 / y,
+            g02=lambda x, y: x / y ** 2)
 
     @staticmethod
     def custom(g: Callable, g10: Callable, g01: Callable, g20: Callable,
@@ -481,17 +449,16 @@ def staggered_constants(model: StaggeredExponentialModel, reps: int,
                         workers: int = 1) -> RenewalConstants:
     """Expansion constants for the trial statistic via the backward
     minimum functional driven by (lifetime, interarrival) pairs, drawn
-    on sub-stream stream_id + 3.
+    on the backward sub-stream of ``stream``.
 
     The walk increment is g(1,1/theta) + g01 (L_k - 1/theta); xi is the
     stationary residual-lifetime functional truncated where the
     survival probability of a lag falls below 1e-14.
     """
     _, mu, sigma2, lam, _, _ = _expansion_ingredients(model)
-    back = stream.with_stream(stream.stream_id + 3)
     batch = BackwardBatch.concatenate(map_replications(
-        partial(staggered_backward_batch, model, stream=back, depth=depth),
-        reps, workers))
+        partial(staggered_backward_batch, model,
+                stream=backward_stream(stream), depth=depth), reps, workers))
     return constants_from_batch(batch, mu, sigma2, lam)
 
 

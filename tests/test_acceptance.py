@@ -207,38 +207,44 @@ _FWCI = {"kind": "staggered", "arrival_rate": 1.0, "theta": 1.0,
 _LRT = dict(_FWCI, g="repeated_lrt")
 
 # one small config per CLI kind, each with more than one 1024-replication
-# chunk so that two workers run it through the process pool
+# chunk so that two workers run it through the process pool; each run
+# passes its checks (exit code 0)
 _INVARIANCE_DOCS = {
-    "simulate": {"reps": 2500, "a_grid": [30.0], "model": _TM1},
-    "constants": {"reps": 1500, "model": _TM1},
-    "verify-thm1": {"reps": 1500, "a": 20.0, "b": 0.5, "y": "median",
-                    "predicate": {"kind": "xi_leq", "c": 0.0},
+    "simulate": {"seed": 31, "reps": 2500, "a_grid": [30.0], "model": _TM1},
+    "example-fwci": {"seed": 32, "reps": 1500, "h": 0.5, "c": 1.96,
+                     "model": _FWCI},
+    "constants": {"seed": 33, "reps": 1500, "model": _TM1},
+    "verify-thm1": {"seed": 34, "reps": 1500, "a": 20.0, "b": 0.5,
+                    "y": "median", "predicate": {"kind": "xi_leq", "c": 0.0},
                     "model": _TM1},
-    "verify-thm3": {"reps": 1500, "a": 20.0, "model": _GMA},
-    "verify-thm4": {"reps": 1500, "a_grid": [10.0, 20.0], "model": _TM1},
-    "diag-lemma1": {"reps": 1500, "a_grid": [30.0], "model": _TM1},
-    "diag-lemma3": {"reps": 1500, "a_grid": [30.0], "model": _TM1},
-    "example-fwci": {"reps": 1500, "h": 0.5, "c": 1.96, "model": _FWCI},
-    "example-rst": {"reps": 1100, "horizon": 40, "calibration_reps": 1100,
-                    "model": _LRT},
+    "verify-thm3": {"seed": 35, "reps": 1500, "a": 20.0, "model": _GMA},
+    "verify-thm4": {"seed": 36, "reps": 1500, "a_grid": [10.0, 20.0],
+                    "model": _TM1},
+    "diag-lemma1": {"seed": 37, "reps": 1500, "a_grid": [30.0],
+                    "model": _TM1},
+    "diag-lemma3": {"seed": 38, "reps": 1500, "a_grid": [30.0],
+                    "model": _TM1},
+    "example-rst": {"seed": 39, "reps": 1100, "horizon": 40,
+                    "calibration_reps": 1100, "model": _LRT},
 }
 
 
 def test_worker_count_invariance(tmp_path):
     t0 = time.monotonic()
-    unequal = []
-    for seed, (kind, doc) in enumerate(_INVARIANCE_DOCS.items(), start=31):
+    wrong = []
+    for kind, doc in _INVARIANCE_DOCS.items():
         runs = []
         for w in (1, 2):
             out = tmp_path / f"{kind}-{w}"
             cfg = ExperimentConfig.from_dict(
-                dict(doc, kind=kind, seed=seed, out=str(out), workers=w))
+                dict(doc, kind=kind, out=str(out), workers=w))
             code = cli_run(cfg)
             runs.append((code, (out / f"{kind}.csv").read_bytes()))
-        if runs[0] != runs[1]:
-            unequal.append(kind)
-    ok = not unequal
+        if runs[0] != runs[1] or runs[0][0] != 0:
+            wrong.append(f"{kind} (exit {runs[0][0]}/{runs[1][0]})")
+    ok = not wrong
     _line("worker-count invariance", ok,
-          f"{len(_INVARIANCE_DOCS)} kinds, 1 vs 2 workers, CSV bytes differ "
-          f"for {unequal or 'none'}, {time.monotonic() - t0:.0f}s")
+          f"{len(_INVARIANCE_DOCS)} kinds, 1 vs 2 workers, nonzero exit "
+          f"or unequal CSV bytes for {wrong or 'none'}, "
+          f"{time.monotonic() - t0:.0f}s")
     assert ok

@@ -1,9 +1,11 @@
 import csv
 import json
+import warnings
 
 import pytest
 import yaml
 
+from renewalsim import cli
 from renewalsim.cli import main, run
 from renewalsim.config import ExperimentConfig, build_model, validate_for_kind
 from renewalsim.errors import ConfigurationError
@@ -244,6 +246,26 @@ def test_cli_manifest_lists_worker_warnings(tmp_path, config_file):
     below = [x for x in listed[0] if "below recommended" in x["message"]]
     assert len(below) == 1 and below[0]["count"] == 2  # one per chunk
     assert listed[0] == listed[1]
+
+
+def test_cli_manifest_leaves_out_deprecation_warnings(tmp_path, monkeypatch):
+    simulate = cli._RUNNERS["simulate"]
+
+    def noisy(cfg, model, stream):
+        warnings.warn("interpreter notice", DeprecationWarning)
+        warnings.warn("run notice", UserWarning)
+        return simulate(cfg, model, stream)
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", noisy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(ExperimentConfig.from_dict(full_config(out=str(tmp_path))))
+    # both reach the caller; only the run's own is listed
+    assert [str(w.message) for w in caught] == ["interpreter notice",
+                                                "run notice"]
+    _, manifest = read_results(tmp_path, "simulate")
+    assert manifest["warnings"] == [
+        {"category": "UserWarning", "message": "run notice", "count": 1}]
 
 
 def test_cli_constants_staggered(tmp_path, config_file):

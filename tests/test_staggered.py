@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -93,6 +94,13 @@ def test_derivatives_match_finite_differences(g, theta):
     assert vals.g20 == pytest.approx(fd20, rel=1e-4, abs=1e-3)
     assert vals.g11 == pytest.approx(fd11, rel=1e-4, abs=1e-3)
     assert vals.g02 == pytest.approx(fd02, rel=1e-4, abs=1e-3)
+
+
+def test_builtin_statistics_pickle_by_kind():
+    for g in (GStatistic.fixed_width_ci(), GStatistic.repeated_lrt()):
+        again = pickle.loads(pickle.dumps(g))
+        assert again.kind == g.kind
+        assert again.values_at(2.0) == g.values_at(2.0)
 
 
 def test_statistic_undefined_before_first_death():
