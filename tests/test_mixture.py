@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, special, stats
 
 from renewalsim import (
     ChiSquareMixture, IncrementLaw, QuadraticSpec, RngStream, VectorLaw,
@@ -11,6 +11,10 @@ from renewalsim import (
 )
 from renewalsim.errors import ConfigurationError, NumericError
 from renewalsim.laws import CovarianceEstimate
+from renewalsim import mixture
+from renewalsim.mixture import _cdf_scalar
+
+LOG_GRID = np.logspace(-10.0, 3.0, 53)  # z / lambda, 4 points a decade
 
 
 def test_weights_are_eigenvalues_of_scaled_form():
@@ -79,6 +83,94 @@ def test_cdf_monotone_and_bounded():
     assert np.all(np.diff(c) >= -1e-9)
     assert np.all((c >= -1e-9) & (c <= 1.0 + 1e-9))
     assert mixture_cdf(mix, 0.0) == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_equal_weights_match_chi2_down_to_tiny_z(d, lam):
+    z = lam * LOG_GRID
+    ref = stats.chi2.cdf(LOG_GRID, df=d)
+    assert np.max(np.abs(mixture_cdf(ChiSquareMixture((lam,) * d), z) - ref)) \
+        <= 1e-6
+
+
+@pytest.mark.parametrize("weights", [(0.7, 0.2, 0.1), (0.5, 0.3), (1.0, 0.01)])
+def test_unequal_weights_monotone_and_match_inversion(weights):
+    mix = ChiSquareMixture(weights)
+    # nondecreasing up to rounding of a sum of probabilities near 1
+    assert np.all(np.diff(mixture_cdf(mix, mix.mean * LOG_GRID)) >= -1e-12)
+    z = np.linspace(0.0, 4.0 * mix.mean, 25)
+    inverted = [_cdf_scalar(weights, float(v), 0.25 * mix.cdf_tolerance)
+                for v in z]
+    assert np.max(np.abs(mixture_cdf(mix, z) - inverted)) <= 1e-6
+
+
+def test_negative_weights_are_the_reflection():
+    # -lam * chi2_d <= z  iff  chi2_d >= -z/lam
+    for d in (1, 2, 3):
+        z = -0.5 * LOG_GRID
+        assert np.max(np.abs(mixture_cdf(ChiSquareMixture((-0.5,) * d), z)
+                             - stats.chi2.sf(LOG_GRID, df=d))) <= 1e-6
+    pos, neg = ChiSquareMixture((0.7, 0.2, 0.1)), ChiSquareMixture((-0.7, -0.2, -0.1))
+    z = np.concatenate([-LOG_GRID[::-1], [0.0], LOG_GRID])
+    assert np.allclose(mixture_cdf(neg, z), 1.0 - mixture_cdf(pos, -z),
+                       rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("weights", [(0.5,), (0.7, 0.2, 0.1),
+                                     (-0.7, -0.2, -0.1), (1.0, -0.5)])
+def test_scalar_and_vector_calls_agree(weights):
+    mix = ChiSquareMixture(weights)
+    z = np.array([-2.0, -1e-6, 0.0, 1e-6, 0.3, 2.0])
+    scalars = [mixture_cdf(mix, v) for v in z]
+    assert all(isinstance(v, float) for v in scalars)
+    assert np.array_equal(scalars, mixture_cdf(mix, z))
+    assert np.array_equal(mixture_cdf(mix, z.reshape(2, 3)),
+                          mixture_cdf(mix, z).reshape(2, 3))
+
+
+def test_inversion_only_for_mixed_signs_or_past_the_term_cap(monkeypatch):
+    inverted = []
+
+    def spy(weights, z, tol):
+        inverted.append(weights)
+        return _cdf_scalar(weights, z, tol)
+
+    monkeypatch.setattr(mixture, "_cdf_scalar", spy)
+    z = np.array([0.5, 2.0])
+    # (1, 0.004) needs ~3300 series terms, inside the cap
+    for weights in [(0.5,), (0.7, 0.0, 0.2), (-1.0, -0.01), (1.0, 0.004)]:
+        mixture_cdf(ChiSquareMixture(weights), z)
+    assert inverted == []
+    mixture_cdf(ChiSquareMixture((1.0, -0.5)), z)
+    # (1, 0.001) would need ~13000 terms
+    mixture_cdf(ChiSquareMixture((1.0, 0.001)), z)
+    assert inverted == [(1.0, -0.5)] * 2 + [(1.0, 0.001)] * 2
+
+
+def _signed_pair_cdf(lam, mu, z):
+    """P[lam * X - mu * T^2 <= z] with X ~ chi2_1, T ~ N(0, 1), by quadrature
+    over t >= 0 of 2 phi(t) P[X <= (z + mu t^2) / lam]."""
+    def f(t):
+        x = max(z + mu * t * t, 0.0) / lam
+        return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * t * t) \
+            * special.erf(math.sqrt(0.5 * x))
+    kink = math.sqrt(abs(z) / mu)
+    tail = integrate.quad(f, kink, np.inf, epsabs=1e-12, epsrel=1e-12,
+                          limit=200)[0]
+    if z <= 0:
+        return tail
+    return tail + integrate.quad(f, 0.0, kink, epsabs=1e-12, epsrel=1e-12,
+                                 limit=200)[0]
+
+
+@pytest.mark.parametrize("weights", [(1.0, -1.0), (1.0, -0.5)])
+def test_mixed_sign_weights_match_convolution(weights):
+    g = np.logspace(-8.0, 2.0, 41)
+    z = np.concatenate([-g[::-1], g])
+    ref = [_signed_pair_cdf(weights[0], -weights[1], float(v)) for v in z]
+    assert np.max(np.abs(mixture_cdf(ChiSquareMixture(weights), z) - ref)) \
+        <= 1e-6
 
 
 def test_cdf_input_validation():

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from renewalsim import (
     EventPredicate, IncrementLaw, PerturbedWalkModel, RngStream,
@@ -12,7 +13,8 @@ from renewalsim import (
 )
 from renewalsim.errors import ConfigurationError, ContractViolationError
 from renewalsim.verification import (
-    WindowBounds, lemma1_collect, lemma3_collect, theorem1_counts,
+    WindowBounds, lemma1_collect, lemma3_collect, sup_distance,
+    theorem1_counts,
 )
 
 
@@ -96,6 +98,19 @@ def test_theorem1_warns_when_b_exceeds_drift(plain_exp_model):
         theorem1_experiment(plain_exp_model, EventPredicate.always_true(),
                             y=math.inf, a=20.0, b=1.8, reps=50,
                             stream=RngStream(22))
+
+
+def test_sup_distance_is_two_sided():
+    # uniform F at (0.5, 0.8, 0.9): the largest gap is F(x_(1)) - 0 = 0.5,
+    # below the first point; max |i/n - F(x_(i))| alone would give 1/6
+    assert sup_distance(np.array([0.5, 0.8, 0.9])) == pytest.approx(0.5)
+    gen = RngStream(5).generator()
+    for x, law in ((gen.exponential(size=300), stats.expon),
+                   (gen.gamma(1.3, size=300), stats.expon),
+                   (gen.exponential(0.8, size=300), stats.expon)):
+        x = np.sort(x)
+        assert sup_distance(law.cdf(x)) == pytest.approx(
+            stats.kstest(x, law.cdf).statistic, abs=1e-14)
 
 
 def test_theorem3_distances_pass_on_tm1(tm1_model):
