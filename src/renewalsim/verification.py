@@ -2,7 +2,7 @@
 
 Each experiment simulates paths of a perturbed-walk model, estimates the
 left-hand side of one asymptotic statement, computes the predicted
-right-hand side from independent ingredients (quadrature, stationary
+right-hand side from independent ingredients (the mixture CDF, stationary
 sampling, backward functional), and reports both with a 3-standard-error
 pass flag.
 """
@@ -240,7 +240,7 @@ def theorem1_experiment(model: PerturbedWalkModel, B: EventPredicate, y: float,
 
     The left side averages per-path counts; P[B] comes from an
     independent stationary sample on sub-stream stream_id + 7 and L from
-    the quadrature of the mixture law.
+    the mixture CDF.
     """
     if b > model.mu:
         warnings.warn(f"width b={b} exceeds mu={model.mu}; the product-form "

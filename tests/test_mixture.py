@@ -111,7 +111,8 @@ def test_negative_weights_are_the_reflection():
         z = -0.5 * LOG_GRID
         assert np.max(np.abs(mixture_cdf(ChiSquareMixture((-0.5,) * d), z)
                              - stats.chi2.sf(LOG_GRID, df=d))) <= 1e-6
-    pos, neg = ChiSquareMixture((0.7, 0.2, 0.1)), ChiSquareMixture((-0.7, -0.2, -0.1))
+    pos = ChiSquareMixture((0.7, 0.2, 0.1))
+    neg = ChiSquareMixture((-0.7, -0.2, -0.1))
     z = np.concatenate([-LOG_GRID[::-1], [0.0], LOG_GRID])
     assert np.allclose(mixture_cdf(neg, z), 1.0 - mixture_cdf(pos, -z),
                        rtol=0.0, atol=1e-12)
