@@ -15,11 +15,8 @@ from .errors import (ConfigurationError, ContractViolationError, NumericError,
                      RenewalSimError, StatisticUndefinedError)
 from .rng import RngStream
 from .laws import IncrementLaw, VectorLaw
-from .walks import (OvershootSample, WalkPath, WindowCountEstimate,
-                    plain_overshoot, renewal_window_count, sample_walk)
 from .perturbation import (QuadraticSpec, ResidualSpec, StationarySpec,
-                           xi_value, zeta_quadratic, zeta_quadratic_path,
-                           zeta_window, zeta_window_path)
+                           zeta_quadratic_path, zeta_window_path)
 from .mixture import (ChiSquareMixture, mixture_cdf, mixture_mean,
                       mixture_quantile, mixture_sample, mixture_weights)
 from .parallel import map_replications

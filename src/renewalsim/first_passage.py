@@ -8,6 +8,12 @@ term at stopping) are estimated from the backward functional
 Z*_j = X_{j+1} + ... + X_0 + xi_0 - xi_j, j <= -1, whose positive-part
 infimum has E[(inf)_+] = mu (total-mass-one identity used as a runtime
 consistency check).
+
+Every collector runs on ``forward_kernel`` or ``backward_kernel``, which
+compute sub-batches of replications as (rows, L) arrays.  Row r draws from
+its own key (seed, r, stream_id), a pure sequence, so a row that needs a
+longer block is drawn again with twice the length, and results do not
+depend on the batching.
 """
 
 from __future__ import annotations
@@ -23,12 +29,13 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolationError
 from .laws import CovarianceEstimate, IncrementLaw, VectorLaw
 from .mixture import ChiSquareMixture, mixture_weights
-from .perturbation import QuadraticSpec, ResidualSpec, StationarySpec
+from .perturbation import (QuadraticSpec, ResidualSpec, StationarySpec,
+                           zeta_quadratic_path)
 from .parallel import map_replications
-from .rng import RngStream
+from .rng import ReplicationGenerators, RngStream
 
-_CHUNK = 256
-_BACK_BLOCK = 192
+_CHUNK = 256  # step chunk of the partial sums and the Gaussian normals
+_BLOCK_ELEMENTS = 1 << 15  # sub-batch rows = this // row length
 
 
 @dataclass(frozen=True)
@@ -115,55 +122,108 @@ class PerturbedWalkModel:
         return abs(float(np.mean(xi))) + 10.0 * float(np.std(xi))
 
 
-class _PathEngine:
-    """Chunked forward simulation of one replication's path."""
+def _chunked_cumsum(x: np.ndarray) -> np.ndarray:
+    """Partial sums along axis 1, per 256-step chunk plus the carried
+    total of the chunks before: a path's own order of additions."""
+    rows, L = x.shape[:2]
+    padded = np.zeros((rows, -(-L // _CHUNK) * _CHUNK) + x.shape[2:])
+    padded[:, :L] = x
+    sums = np.cumsum(padded.reshape((rows, -1, _CHUNK) + x.shape[2:]), axis=2)
+    carry = np.zeros_like(sums[:, :, 0])
+    np.cumsum(sums[:, :-1, -1], axis=1, out=carry[:, 1:])
+    return (carry[:, :, None] + sums).reshape(padded.shape)[:, :L]
 
-    def __init__(self, model: PerturbedWalkModel, gen: np.random.Generator):
-        self.model = model
-        self.gen = gen
-        D = model.stationary.depth
-        self.w_tail = model.increment_law.sample(gen, D) if D else \
-            np.empty(0)
-        self.s_last = 0.0
-        self.t_last = None
-        if model.vector_law is not None:
-            self.t_last = np.zeros(model.vector_law.d)
-        self.n_done = 0
-        self.full: dict = {"W": [], "S": [], "T": [], "xi": [], "zeta": [],
-                           "Z": []}
 
-    def extend(self, count: int = _CHUNK) -> dict:
-        """Simulate the next ``count`` indices; returns the chunk arrays."""
-        m = self.model
-        w = m.increment_law.sample(self.gen, count)
-        s = self.s_last + np.cumsum(w)
-        self.s_last = float(s[-1])
-        xi = m.stationary.xi_path(np.concatenate([self.w_tail, w]), count)
-        D = m.stationary.depth
-        if D:
-            self.w_tail = np.concatenate([self.w_tail, w])[-D:]
-        n_idx = np.arange(self.n_done + 1, self.n_done + count + 1)
-        zeta = np.zeros(count)
-        t_rows = None
-        if m.vector_law is not None:
-            y = m.vector_law.materialize(w, self.gen)
-            t_rows = self.t_last + np.cumsum(y, axis=0)
-            self.t_last = t_rows[-1].copy()
-            if m.quadratic is not None:
-                quad = np.einsum("ni,ij,nj->n", t_rows, m.quadratic.Q, t_rows)
-                zeta = zeta + quad / n_idx
-        if m.residual.kind != "zero":
-            self.full["W"].append(w)
-            self.full["S"].append(s)
-            if t_rows is not None:
-                self.full["T"].append(t_rows)
-            path = {k: np.concatenate(v) if v else np.empty(0)
-                    for k, v in self.full.items() if k in ("W", "S", "T")}
-            zeta = zeta + m.residual.path(n_idx, path)
-        z = s + xi + zeta
-        self.n_done += count
-        return {"n": n_idx, "W": w, "S": s, "T": t_rows, "xi": xi,
-                "zeta": zeta, "Z": z}
+def _sub_batches(reps: int, length: int, limit: int, extra: int, width: int,
+                 run: Callable[[np.ndarray, int],
+                               Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Values (reps, width) from ``run(rows, L)`` -> (done, values) on
+    sub-batches of _BLOCK_ELEMENTS // (extra + L) rows; rows not done run
+    again with twice L, from L = min(length, limit) up to limit."""
+    out = np.empty((reps, width))
+    todo = np.arange(reps)
+    L = min(length, limit)
+    while todo.size:
+        per = max(1, _BLOCK_ELEMENTS // (extra + L))
+        left = []
+        for lo in range(0, todo.size, per):
+            idx = todo[lo:lo + per]
+            done, values = run(idx, L)
+            done = np.broadcast_to(done, idx.shape)
+            out[idx[done]] = values[done]
+            left.append(idx[~done])
+        todo = np.concatenate(left)
+        L = min(2 * L, limit)
+    return out
+
+
+@dataclass(frozen=True)
+class PathBlock:
+    """Paths up to index L: column j is index j + 1 (W: W_{1-D}..W_L)."""
+
+    W: np.ndarray
+    S: np.ndarray
+    T: Optional[np.ndarray]
+    xi: np.ndarray
+    zeta: np.ndarray
+    Z: np.ndarray
+
+    @property
+    def n(self) -> np.ndarray:
+        return np.arange(1, self.S.shape[1] + 1)
+
+
+def _simulate_block(model: PerturbedWalkModel, keys: ReplicationGenerators,
+                    reps: np.ndarray, L: int) -> PathBlock:
+    """Paths of replications ``reps`` (stream indices) up to index L."""
+    law, D, vl = model.increment_law, model.stationary.depth, model.vector_law
+    W = np.empty((len(reps), D + L))
+    gaussian = vl is not None and vl.kind == "gaussian"
+    Y = np.empty((len(reps), L, vl.d)) if gaussian else None
+    for i, r in enumerate(reps):
+        gen = keys.generator(r)
+        if not gaussian:
+            W[i] = law.sample(gen, D + L)
+            continue
+        W[i, :D] = law.sample(gen, D)
+        for lo in range(0, L, _CHUNK):  # normals drawn after each chunk
+            w = law.sample(gen, min(_CHUNK, L - lo))
+            W[i, D + lo:D + lo + _CHUNK] = w
+            Y[i, lo:lo + _CHUNK] = vl.materialize(w, gen)
+    S = _chunked_cumsum(W[:, D:])
+    T = None if vl is None else _chunked_cumsum(
+        Y if gaussian else vl.materialize(W[:, D:], None))
+    zeta = np.zeros_like(S) if model.quadratic is None else \
+        zeta_quadratic_path(T, model.quadratic)
+    if model.residual.kind != "zero":
+        zeta = zeta + model.residual.value
+    xi = model.stationary.xi_path(W, L)
+    return PathBlock(W, S, T, xi, zeta, S + xi + zeta)
+
+
+def block_length(model: PerturbedWalkModel, level: float) -> int:
+    """Forward block length for paths that must pass ``level``: the mean
+    passage index plus 4 of its standard deviations, plus 32."""
+    steps = max(level, 0.0) / model.mu
+    return int(steps + 4.0 * math.sqrt(model.sigma2 * steps) / model.mu) + 32
+
+
+def forward_kernel(model: PerturbedWalkModel, stream: RngStream, reps: int,
+                   rep_offset: int, length: int, horizon: int,
+                   reduce: Callable[[PathBlock, bool],
+                                    Tuple[np.ndarray, np.ndarray]],
+                   width: int) -> np.ndarray:
+    """Statistics (reps, width) of replications rep_offset.. of
+    ``stream``: ``reduce(block, final)`` gives (done, values) per path of
+    a sub-batch simulated to index ``length`` or more; at the horizon
+    ``final`` is True and every row must be done."""
+    if model.vector_law is not None and model.vector_law.kind == "gaussian":
+        length = -(-length // _CHUNK) * _CHUNK  # keep the normals' layout
+    keys = ReplicationGenerators(stream)
+    return _sub_batches(
+        reps, length, horizon, model.stationary.depth, width,
+        lambda idx, L: reduce(_simulate_block(model, keys, rep_offset + idx,
+                                              L), L >= horizon))
 
 
 @dataclass(frozen=True)
@@ -187,25 +247,23 @@ def simulate_passage(model: PerturbedWalkModel, a: float,
     """
     if a <= 0:
         raise ConfigurationError("a must be > 0", "simulate_passage.a")
-    horizon = model.horizon(a)
-    engine = _PathEngine(model, stream.generator())
-    while engine.n_done < horizon:
-        chunk = engine.extend(min(_CHUNK, horizon - engine.n_done))
-        eligible = (chunk["Z"] > a) & (chunk["n"] >= model.n0)
-        hits = np.nonzero(eligible)[0]
-        if hits.size:
-            i = int(hits[0])
-            # all earlier eligible indices in this chunk stayed at or
-            # below the boundary; earlier chunks had no crossing at all
-            assert chunk["Z"][i] - a > 0.0
-            return FirstPassageSample(
-                t_a=int(chunk["n"][i]),
-                R_a=float(chunk["Z"][i] - a),
-                xi_at_stop=float(chunk["xi"][i]),
-                zeta_at_stop=float(chunk["zeta"][i]),
-                crossed=True)
-    return FirstPassageSample(t_a=horizon, R_a=math.nan, xi_at_stop=math.nan,
-                              zeta_at_stop=math.nan, crossed=False)
+    s = collect_passage(model, a, 1, stream, stream.replication_index)
+    return FirstPassageSample(int(s.t[0]), float(s.R[0]), float(s.xi[0]),
+                              float(s.zeta[0]), bool(s.crossed[0]))
+
+
+def _passage_stats(model: PerturbedWalkModel, a: float, block: PathBlock,
+                   final: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """(t_a, R_a, xi, zeta, crossed) per row; an uncrossed row is done at
+    the horizon, with t_a the horizon and NaN values."""
+    eligible = (block.Z > a) & (block.n >= model.n0)
+    crossed = eligible.any(axis=1)
+    j = eligible.argmax(axis=1)
+    rows = np.arange(len(j))
+    at = lambda x: np.where(crossed, x[rows, j], math.nan)
+    t = np.where(crossed, j + 1, block.S.shape[1])
+    return crossed | final, np.column_stack(
+        [t, at(block.Z) - a, at(block.xi), at(block.zeta), crossed])
 
 
 @dataclass(frozen=True)
@@ -246,17 +304,11 @@ def collect_passage(model: PerturbedWalkModel, a: float, reps: int,
     Replication r always uses the stream (seed, r, stream_id), so the
     result is independent of how the replication range is chunked.
     """
-    t = np.empty(reps, dtype=np.int64)
-    R = np.empty(reps)
-    xi = np.empty(reps)
-    zeta = np.empty(reps)
-    crossed = np.empty(reps, dtype=bool)
-    for k in range(reps):
-        s = simulate_passage(model, a,
-                             stream.with_replication(rep_offset + k))
-        t[k], R[k], xi[k], zeta[k], crossed[k] = \
-            s.t_a, s.R_a, s.xi_at_stop, s.zeta_at_stop, s.crossed
-    return PassageSamples(a, t, R, xi, zeta, crossed)
+    out = forward_kernel(model, stream, reps, rep_offset,
+                         block_length(model, a), model.horizon(a),
+                         partial(_passage_stats, model, a), 5)
+    return PassageSamples(a, out[:, 0].astype(np.int64), out[:, 1],
+                          out[:, 2], out[:, 3], out[:, 4].astype(bool))
 
 
 @dataclass(frozen=True)
@@ -387,39 +439,57 @@ class BackwardBatch:
             parts[0].depth_cap)
 
 
-def _backward_core(sample_rows: Callable[[np.random.Generator, int], np.ndarray],
-                   x_of: Callable[[np.ndarray], np.ndarray],
-                   xi_backward: Callable[[np.ndarray], np.ndarray],
-                   xi_depth: int, mu: float, sigma: float, xi_slack: float,
-                   depth_cap: int, gen: np.random.Generator
-                   ) -> Tuple[float, float, float, int, bool]:
-    """One replication: returns (inf, xi0, Z*_{-1}, attained index, truncated)."""
+def _exit_depth(mu: float, sigma: float, xi_slack: float) -> int:
+    """First backward exploration depth: the exit-rule fixpoint (least i
+    with mu*i - 10 sigma sqrt(i) - xi_slack > 0) plus 4 walk SDs there."""
+    root = (10.0 * sigma + math.sqrt(100.0 * sigma ** 2 + 4.0 * mu * xi_slack)) \
+        / (2.0 * mu)
+    return max(16, int(math.ceil(root * root + 4.0 * sigma * root / mu)))
+
+
+def backward_kernel(draw: Callable[[np.random.Generator, int], np.ndarray],
+                    x_of: Callable[[np.ndarray], np.ndarray],
+                    xi_backward: Callable[[np.ndarray], np.ndarray],
+                    xi_depth: int, mu: float, sigma: float, xi_slack: float,
+                    cap: int, stream: RngStream, reps: int,
+                    rep_offset: int) -> BackwardBatch:
+    """Backward functional of replications rep_offset..rep_offset+reps-1.
+
+    ``draw(gen, k)`` gives a replication's backward rows W_0..W_{1-k};
+    ``x_of`` and ``xi_backward`` map them to X and to xi_0, xi_{-1}, ....
+    A row's infimum runs up to the first i where X_0 + ... + X_{-(i-1)}
+    - 10 sigma sqrt(i) - xi_slack exceeds the running minimum of
+    Z*_{-i} - xi_0; a row with no such i <= cap is truncated at j = -cap.
+    """
     D = max(xi_depth, 1)
-    rows = sample_rows(gen, _BACK_BLOCK + D)
-    while True:
+    keys = ReplicationGenerators(stream)
+
+    def explore(idx: np.ndarray, I: int) -> Tuple[np.ndarray, np.ndarray]:
+        rows = np.stack([draw(keys.generator(rep_offset + r), I + D)
+                         for r in idx])
         xi = xi_backward(rows)
-        x = x_of(rows)
-        I = xi.shape[0] - 1
-        c = np.cumsum(x[:I])            # c[i-1] = X_0 + ... + X_{-(i-1)}
-        vals = c - xi[1:I + 1]          # Z*_{-i} - xi_0
-        cummin = np.minimum.accumulate(vals)
-        i_idx = np.arange(1, I + 1, dtype=float)
-        exit_ok = (c - 10.0 * sigma * np.sqrt(i_idx) - xi_slack) > cummin
-        hit = np.nonzero(exit_ok)[0]
-        if hit.size:
-            stop = int(hit[0])
-            prefix = vals[:stop + 1]
-            arg = int(np.argmin(prefix))
-            xi0 = float(xi[0])
-            return (float(prefix[arg] + xi0), xi0, float(vals[0] + xi0),
-                    -(arg + 1), False)
-        if rows.shape[0] - D >= depth_cap:
-            arg = int(np.argmin(vals))
-            xi0 = float(xi[0])
-            return (float(vals[arg] + xi0), xi0, float(vals[0] + xi0),
-                    -(arg + 1), True)
-        grow = sample_rows(gen, _BACK_BLOCK)
-        rows = np.concatenate([rows, grow])
+        c = np.cumsum(x_of(rows)[:, :I], axis=1)  # X_0 + ... + X_{-(i-1)}
+        vals = c - xi[:, 1:I + 1]                 # Z*_{-i} - xi_0
+        i = np.arange(1, I + 1)
+        exit_ok = (c - 10.0 * sigma * np.sqrt(i) - xi_slack) > \
+            np.minimum.accumulate(vals, axis=1)
+        exited = exit_ok.any(axis=1)
+        stop = np.where(exited, exit_ok.argmax(axis=1), I - 1)
+        prefix = np.where(i <= stop[:, None] + 1, vals, np.inf)
+        xi0 = xi[:, 0]
+        return exited | (I >= cap), np.column_stack(
+            [prefix.min(axis=1) + xi0, xi0, vals[:, 0] + xi0,
+             -(prefix.argmin(axis=1) + 1), ~exited])
+
+    out = _sub_batches(reps, _exit_depth(mu, sigma, xi_slack), cap, D, 5,
+                       explore)
+    n_trunc = int(out[:, 4].sum())
+    if n_trunc:
+        warnings.warn(f"{n_trunc}/{reps} backward replications hit the "
+                      f"depth cap {cap}", RuntimeWarning)
+    return BackwardBatch(out[:, 0], out[:, 1], out[:, 2],
+                         out[:, 3].astype(np.int64), out[:, 4].astype(bool),
+                         cap)
 
 
 def backward_min_functional(model: PerturbedWalkModel, depth: Optional[int],
@@ -427,10 +497,10 @@ def backward_min_functional(model: PerturbedWalkModel, depth: Optional[int],
                             rep_offset: int = 0) -> BackwardBatch:
     """Samples of (inf_{j<=-1} Z*_j, xi_0) with drift-based early exit.
 
-    ``depth`` caps the explored past; None selects the recommended value
-    from the exit-rule fixpoint.  Replication r uses stream index
-    rep_offset + r.  Replications that hit the cap are flagged and a
-    residual dip probability is estimated for the warning.
+    ``depth`` caps the explored past (j >= -depth); None selects the
+    recommended value from the exit-rule fixpoint.  Replication r uses
+    stream index rep_offset + r.  Replications that hit the cap are
+    flagged and a residual dip probability is estimated for the warning.
     """
     law = model.increment_law
     xi_slack = model.xi_slack(stream)
@@ -445,23 +515,9 @@ def backward_min_functional(model: PerturbedWalkModel, depth: Optional[int],
             f"backward depth {cap} below recommended {rec}; residual dip "
             f"probability about {resid:.2e}", RuntimeWarning)
     spec = model.stationary
-    sample_rows = lambda gen, k: law.sample(gen, k)
-    inf_v = np.empty(reps)
-    xi0 = np.empty(reps)
-    first = np.empty(reps)
-    attained = np.empty(reps, dtype=np.int64)
-    truncated = np.empty(reps, dtype=bool)
-    sigma = math.sqrt(law.variance)
-    for r in range(reps):
-        gen = stream.with_replication(rep_offset + r).generator()
-        inf_v[r], xi0[r], first[r], attained[r], truncated[r] = _backward_core(
-            sample_rows, lambda w: w, spec.xi_backward, spec.depth,
-            law.mean, sigma, xi_slack, cap, gen)
-    n_trunc = int(truncated.sum())
-    if n_trunc:
-        warnings.warn(f"{n_trunc}/{reps} backward replications hit the "
-                      f"depth cap {cap}", RuntimeWarning)
-    return BackwardBatch(inf_v, xi0, first, attained, truncated, cap)
+    return backward_kernel(law.sample, lambda w: w, spec.xi_backward,
+                           spec.depth, law.mean, math.sqrt(law.variance),
+                           xi_slack, cap, stream, reps, rep_offset)
 
 
 def excess_cdf_from_backward(batch: BackwardBatch,

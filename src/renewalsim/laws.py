@@ -290,23 +290,24 @@ class VectorLaw:
         return out
 
     def materialize(self, w: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        """Vector increments for a block of driving values, shape (n, d)."""
-        n = len(w)
+        """Vector increments for driving values ``w`` of any shape, shape
+        (*w.shape, d); each row depends on its own W only, except that a
+        Gaussian law draws its standard normals from ``gen``."""
         if self.kind == "centered_x":
             if self.center is None:
                 raise ConfigurationError("centered_x law is unbound; call bind()",
                                          "vector.center")
-            return np.outer(w - self.center, np.asarray(self.coeffs))
+            return (w - self.center)[..., None] * np.asarray(self.coeffs)
         if self.kind == "gaussian":
             chol = np.linalg.cholesky(
                 self.cov_matrix + 1e-15 * np.eye(self.dim))
-            return gen.standard_normal((n, self.dim)) @ chol.T
-        out = np.atleast_2d(np.asarray(self.fn(w), dtype=float))
-        if out.shape != (n, self.dim):
+            return gen.standard_normal(np.shape(w) + (self.dim,)) @ chol.T
+        out = np.atleast_2d(np.asarray(self.fn(np.ravel(w)), dtype=float))
+        if out.shape != (np.size(w), self.dim):
             raise ConfigurationError(
-                f"custom map returned shape {out.shape}, expected {(n, self.dim)}",
-                "vector.fn")
-        return out
+                f"custom map returned shape {out.shape}, expected "
+                f"{(np.size(w), self.dim)}", "vector.fn")
+        return out.reshape(np.shape(w) + (self.dim,))
 
     def cov(self, law: Optional[IncrementLaw] = None,
             stream=None) -> CovarianceEstimate:

@@ -8,18 +8,19 @@ Three ingredients make up the perturbed walk Z_n = S_n + xi_n + zeta_n:
 * ``QuadraticSpec`` builds the slowly-changing quadratic term
   zeta'_n = T_n' Q T_n / n from the vector partial sums, plus its
   windowed variant restricted to the last m increments.
-* ``ResidualSpec`` is a hook for an extra vanishing term zeta''_n
-  (defaults to zero; a constant shift is provided for oracle tests).
+* ``ResidualSpec`` is an extra term zeta''_n: zero, or a constant shift
+  for oracle tests.
+
+The path evaluators take independent paths along leading axes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, ContractViolationError
 from .laws import IncrementLaw
@@ -41,6 +42,16 @@ def _resolve_map(h) -> Callable[[np.ndarray], np.ndarray]:
     except KeyError:
         raise ConfigurationError(f"unknown map {h!r}; named maps: "
                                  f"{sorted(_NAMED_MAPS)}", "stationary.h")
+
+
+def _per_path(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+              width: int) -> np.ndarray:
+    """``fn`` on each path (last axis) of ``x``, ``width`` values each."""
+    flat = x.reshape(-1, x.shape[-1])
+    out = np.empty((len(flat), width))
+    for i, path in enumerate(flat):
+        out[i] = fn(path)
+    return out.reshape(x.shape[:-1] + (width,))
 
 
 @dataclass(frozen=True)
@@ -125,11 +136,6 @@ class StationarySpec:
             return 1
         return self.truncation_depth
 
-    @property
-    def w_columns(self) -> int:
-        """Width of one driving row (scalar W, or (lifetime, interarrival))."""
-        return 2 if self.kind == "staggered_residual" else 1
-
     def centered(self, law: IncrementLaw, quad_points: int = 4096) -> "StationarySpec":
         """Return a copy whose centering equals the stationary mean of the
         truncated sum, so E xi_n = 0 (zero/staggered kinds are unchanged)."""
@@ -148,55 +154,56 @@ class StationarySpec:
     def xi_path(self, w_ext: np.ndarray, n: int) -> np.ndarray:
         """xi_1..xi_n from extended history w_ext = (W_{1-D}, ..., W_n).
 
-        ``w_ext`` must hold n + depth driving rows; the first ``depth``
-        rows are burn-in so xi_1 is already stationary.
+        ``w_ext`` holds n + depth driving values along its last axis
+        (leading axes are independent paths); the first ``depth`` are
+        burn-in so xi_1 is already stationary.  The staggered kind's
+        rows go backward only (``xi_backward``).
         """
         D = self.depth
         w_ext = np.asarray(w_ext)
-        if w_ext.shape[0] != n + D:
+        if self.kind == "staggered_residual" or w_ext.shape[-1] != n + D:
             raise ContractViolationError(
-                f"history of length {w_ext.shape[0]} != n + depth = {n + D}")
+                f"need a scalar history of n + depth = {n + D} values")
         if self.kind == "zero":
-            return np.zeros(n)
+            return np.zeros(w_ext.shape[:-1] + (n,))
         if self.kind == "instantaneous":
-            return _resolve_map(self.h)(w_ext[D:D + n]) - self.centering
-        if self.kind == "geometric_ma":
-            hw = _resolve_map(self.h)(w_ext)
-            kernel = self.beta ** np.arange(D)
-            return np.convolve(hw, kernel)[D:D + n] - self.centering
-        # staggered_residual: rows are (lifetime, interarrival)
-        if w_ext.ndim != 2 or w_ext.shape[1] != 2:
-            raise ContractViolationError(
-                "staggered_residual expects rows (lifetime, interarrival)")
-        life = sliding_window_view(w_ext[:, 0], D)[1:n + 1, ::-1]
-        inter = sliding_window_view(w_ext[:, 1], D)[1:n + 1, ::-1]
-        waited = np.cumsum(inter, axis=1)
-        alive = (life > waited).sum(axis=1)
-        residual = np.maximum(life - waited, 0.0).sum(axis=1)
-        return -(self.g10 * alive + self.g01 * residual) - self.centering
+            return _resolve_map(self.h)(w_ext[..., D:D + n]) - self.centering
+        kernel = self.beta ** np.arange(D)
+        return _per_path(lambda hw: np.convolve(hw, kernel, "valid")[1:],
+                         _resolve_map(self.h)(w_ext), n) - self.centering
 
     def xi_backward(self, w_back: np.ndarray) -> np.ndarray:
         """xi_0, xi_{-1}, ..., from backward-ordered rows W_0, W_{-1}, ...
 
-        Returns xi at indices 0..-(len - depth); entry i is xi_{-i}.
+        Returns xi at indices 0..-(len - depth); entry i is xi_{-i}.  Rows
+        run along the last axis (staggered: the last but one, rows being
+        (lifetime, interarrival)); leading axes are independent paths.
         """
         D = self.depth
         w_back = np.asarray(w_back)
         if self.kind == "zero":
-            return np.zeros(w_back.shape[0])
-        if w_back.shape[0] < D:
+            return np.zeros(w_back.shape)
+        stag = self.kind == "staggered_residual"
+        steps = w_back.shape[-2] if stag else w_back.shape[-1]
+        if steps < D:
             raise ContractViolationError("backward history shorter than depth")
         if self.kind == "instantaneous":
             return _resolve_map(self.h)(w_back) - self.centering
+        m = steps - D + 1
         if self.kind == "geometric_ma":
-            hw = _resolve_map(self.h)(w_back)
             kernel = self.beta ** np.arange(D)
-            return np.correlate(hw, kernel, mode="valid") - self.centering
-        life = sliding_window_view(w_back[:, 0], D)
-        inter = sliding_window_view(w_back[:, 1], D)
-        waited = np.cumsum(inter, axis=1)
-        alive = (life > waited).sum(axis=1)
-        residual = np.maximum(life - waited, 0.0).sum(axis=1)
+            return _per_path(lambda hw: np.correlate(hw, kernel, "valid"),
+                             _resolve_map(self.h)(w_back), m) - self.centering
+        # lag k of xi_{-i} is the patient of row i + k, who waited the
+        # interarrival gaps of rows i..i+k
+        life, inter = w_back[..., 0], w_back[..., 1]
+        waited, left, alive, residual = np.zeros((4,) + life.shape[:-1] + (m,))
+        for k in range(D):
+            waited += inter[..., k:k + m]
+            np.maximum(np.subtract(life[..., k:k + m], waited, out=left), 0.0,
+                       out=left)
+            alive += left > 0.0
+            residual += left
         return -(self.g10 * alive + self.g01 * residual) - self.centering
 
     def xi_of_windows(self, windows: np.ndarray) -> np.ndarray:
@@ -263,23 +270,6 @@ class StationarySpec:
         return None
 
 
-def xi_value(spec: StationarySpec, n: int, history: np.ndarray) -> float:
-    """Evaluate xi_n from a window of driving values ending at time n.
-
-    ``history`` is ordered oldest first and must supply at least
-    ``spec.depth`` entries (rows for the staggered kind).
-    """
-    history = np.asarray(history)
-    D = spec.depth
-    if spec.kind == "zero":
-        return 0.0
-    if history.shape[0] < D:
-        raise ContractViolationError(
-            f"history supplies {history.shape[0]} values, depth {D} required")
-    window = history[history.shape[0] - D:]
-    return float(spec.xi_backward(window[::-1])[0])
-
-
 @dataclass(frozen=True)
 class QuadraticSpec:
     """Symmetric quadratic form Q driving zeta'_n = T_n' Q T_n / n."""
@@ -304,82 +294,50 @@ class QuadraticSpec:
         return self.Q.shape[0]
 
 
-def zeta_quadratic(T_n: np.ndarray, n: int, spec: QuadraticSpec) -> float:
-    """zeta'_n = T_n' Q T_n / n for one vector partial sum."""
-    if n < 1:
-        raise ConfigurationError("n must be >= 1", "zeta_quadratic.n")
-    t = np.atleast_1d(np.asarray(T_n, dtype=float))
-    if t.shape[0] != spec.d:
-        raise ConfigurationError(
-            f"T_n has dimension {t.shape[0]}, Q is {spec.d}x{spec.d}",
-            "zeta_quadratic.T_n")
-    return float(t @ spec.Q @ t) / n
-
-
 def zeta_quadratic_path(vector_sums: np.ndarray, spec: QuadraticSpec,
                         n0: int = 1) -> np.ndarray:
-    """Vectorized zeta'_n for n = n0..N from the (N, d) partial-sum rows."""
+    """Vectorized zeta'_n for n = n0..N from (..., N, d) partial sums."""
     T = np.atleast_2d(np.asarray(vector_sums, dtype=float))
-    if T.shape[1] != spec.d:
+    if T.shape[-1] != spec.d:
         raise ConfigurationError("vector dimension mismatch", "zeta.path")
-    quad = np.einsum("ni,ij,nj->n", T, spec.Q, T)
-    n = np.arange(1, T.shape[0] + 1, dtype=float)
-    return quad[n0 - 1:] / n[n0 - 1:]
-
-
-def zeta_window(Y: np.ndarray, m: int, n: int, spec: QuadraticSpec) -> float:
-    """Windowed coupling zeta~_{m,n} = T'_{m,n} Q T_{m,n} / m with
-    T_{m,n} = Y_{n-m+1} + ... + Y_n.
-
-    ``Y`` holds rows Y_1..Y_N; requires 1 <= m <= n <= N.
-    """
-    if m < 1 or n < m:
-        raise ConfigurationError("need n >= m >= 1", "zeta_window")
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape[0] < n:
-        raise ContractViolationError(
-            f"Y supplies {Y.shape[0]} rows, index n={n} requested")
-    t = Y[n - m:n].sum(axis=0)
-    return float(t @ spec.Q @ t) / m
+    quad = np.einsum("...i,ij,...j->...", T, spec.Q, T)
+    n = np.arange(1, T.shape[-2] + 1, dtype=float)
+    return quad[..., n0 - 1:] / n[n0 - 1:]
 
 
 def zeta_window_path(vector_sums: np.ndarray, m: int, n_lo: int, n_hi: int,
                      spec: QuadraticSpec) -> np.ndarray:
-    """Vectorized zeta~_{m,n} for n = n_lo..n_hi via partial-sum differences."""
+    """Vectorized zeta~_{m,n} for n = n_lo..n_hi via differences of the
+    (..., N, d) partial sums."""
     if m < 1 or n_lo < m or n_hi < n_lo:
         raise ConfigurationError("need n_hi >= n_lo >= m >= 1", "zeta_window")
     T = np.atleast_2d(np.asarray(vector_sums, dtype=float))
-    if T.shape[0] < n_hi:
+    if T.shape[-2] < n_hi:
         raise ContractViolationError("vector sums shorter than n_hi")
-    hi = T[n_lo - 1:n_hi]
+    hi = T[..., n_lo - 1:n_hi, :]
     lo = np.zeros_like(hi)
     idx = np.arange(n_lo, n_hi + 1) - m  # index n-m, 0 means empty prefix
     pos = idx > 0
-    lo[pos] = T[idx[pos] - 1]
+    lo[..., pos, :] = T[..., idx[pos] - 1, :]
     w = hi - lo
-    return np.einsum("ni,ij,nj->n", w, spec.Q, w) / m
+    return np.einsum("...i,ij,...j->...", w, spec.Q, w) / m
 
 
 @dataclass(frozen=True)
 class ResidualSpec:
     """Extra vanishing perturbation zeta''_n.
 
-    ``zero`` by default; ``constant`` shifts every Z_n by a fixed amount
-    (oracle tests); ``user_hook`` receives (n_array, path) where path
-    maps "S"/"T"/"W" to the arrays so far, and returns zeta''_n values.
+    ``zero`` by default; ``constant`` shifts every Z_n by ``value``
+    (oracle tests).
     """
 
     kind: str = "zero"
     value: float = 0.0
-    hook: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant", "user_hook"):
+        if self.kind not in ("zero", "constant"):
             raise ConfigurationError(f"unknown kind {self.kind!r}",
                                      "residual.kind")
-        if self.kind == "user_hook" and self.hook is None:
-            raise ConfigurationError("user_hook requires a callable",
-                                     "residual.hook")
 
     @staticmethod
     def zero() -> "ResidualSpec":
@@ -388,21 +346,3 @@ class ResidualSpec:
     @staticmethod
     def constant(value: float) -> "ResidualSpec":
         return ResidualSpec("constant", value=float(value))
-
-    @staticmethod
-    def user_hook(hook: Callable) -> "ResidualSpec":
-        return ResidualSpec("user_hook", hook=hook)
-
-    def path(self, n: np.ndarray, path_arrays: dict) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(len(n))
-        if self.kind == "constant":
-            return np.full(len(n), self.value)
-        out = np.asarray(self.hook(n, path_arrays), dtype=float)
-        if out.shape != (len(n),):
-            raise ConfigurationError("hook must return one value per index",
-                                     "residual.hook")
-        if not np.all(np.isfinite(out)):
-            raise ConfigurationError("hook returned non-finite values",
-                                     "residual.hook")
-        return out

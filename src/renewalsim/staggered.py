@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, ContractViolationError,
                      StatisticUndefinedError)
-from .first_passage import (BackwardBatch, RenewalConstants, _backward_core,
+from .first_passage import (BackwardBatch, RenewalConstants, backward_kernel,
                             backward_stream, constants_from_batch,
                             recommended_backward_depth)
 from .parallel import map_replications
@@ -28,6 +28,9 @@ from .perturbation import StationarySpec
 from .rng import RngStream
 
 _TRIAL_BLOCK = 256
+# the backward rows are drawn in segments of 192 (the first one longer by
+# the xi depth), each segment's lifetimes before its interarrival gaps
+_BACK_SEGMENT = 192
 # rows per block of the (rows x n) count matrices: small enough (a few
 # hundred kB at n ~ 500) that the allocator reuses their memory from one
 # block to the next instead of returning it and faulting it in again
@@ -421,27 +424,16 @@ def staggered_backward_batch(model: StaggeredExponentialModel, reps: int,
     rec = recommended_backward_depth(mu, sigma2, xi_slack)
     cap = rec if depth is None else int(depth)
 
-    def sample_rows(gen: np.random.Generator, k: int) -> np.ndarray:
-        return np.column_stack([gen.exponential(1.0 / theta, k),
-                                gen.exponential(1.0 / rate, k)])
+    def draw(gen: np.random.Generator, k: int) -> np.ndarray:
+        more = -(-(k - d_eff) // _BACK_SEGMENT) - 1  # segments after the first
+        return np.concatenate([np.column_stack(
+            [gen.exponential(1.0 / theta, n), gen.exponential(1.0 / rate, n)])
+            for n in [_BACK_SEGMENT + d_eff] + [_BACK_SEGMENT] * more])[:k]
 
-    x_of = lambda rows: mu + vals.g01 * (rows[:, 0] - 1.0 / theta)
-    sigma = math.sqrt(sigma2)
-    inf_v = np.empty(reps)
-    xi0 = np.empty(reps)
-    first = np.empty(reps)
-    attained = np.empty(reps, dtype=np.int64)
-    truncated = np.empty(reps, dtype=bool)
-    for r in range(reps):
-        gen = stream.with_replication(rep_offset + r).generator()
-        inf_v[r], xi0[r], first[r], attained[r], truncated[r] = _backward_core(
-            sample_rows, x_of, spec.xi_backward, d_eff, mu, sigma, xi_slack,
-            cap, gen)
-    n_trunc = int(truncated.sum())
-    if n_trunc:
-        warnings.warn(f"{n_trunc}/{reps} backward replications hit the "
-                      f"depth cap {cap}", RuntimeWarning)
-    return BackwardBatch(inf_v, xi0, first, attained, truncated, cap)
+    x_of = lambda rows: mu + vals.g01 * (rows[..., 0] - 1.0 / theta)
+    return backward_kernel(draw, x_of, spec.xi_backward, d_eff, mu,
+                           math.sqrt(sigma2), xi_slack, cap, stream, reps,
+                           rep_offset)
 
 
 def staggered_constants(model: StaggeredExponentialModel, reps: int,

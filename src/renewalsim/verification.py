@@ -19,10 +19,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, ContractViolationError
-from .first_passage import (PassageSamples, PerturbedWalkModel,
-                            RenewalConstants, _PathEngine, collect_passage,
+from .first_passage import (PassageSamples, PathBlock, PerturbedWalkModel,
+                            RenewalConstants, block_length, collect_passage,
                             estimate_rho_nu, excess_cdf_from_backward,
-                            experiment_backward, summarize_levels)
+                            experiment_backward, forward_kernel,
+                            summarize_levels)
 from .mixture import mixture_cdf
 from .parallel import map_replications
 from .perturbation import zeta_window_path
@@ -144,7 +145,7 @@ def _envelope_offset(model: PerturbedWalkModel) -> Optional[float]:
     """Constant c with Z_k >= S_n + c for all k >= n (when derivable).
 
     Requires nonnegative increments (so S is nondecreasing), a finite
-    lower bound on xi, a PSD quadratic form and a bounded-below residual.
+    lower bound on xi and a PSD quadratic form.
     """
     if model.increment_law.support_min < 0:
         return None
@@ -155,13 +156,7 @@ def _envelope_offset(model: PerturbedWalkModel) -> Optional[float]:
     if model.quadratic is not None:
         if float(np.linalg.eigvalsh(model.quadratic.Q)[0]) < 0:
             return None
-    if model.residual.kind == "constant":
-        res_lb = min(model.residual.value, 0.0)
-    elif model.residual.kind == "zero":
-        res_lb = 0.0
-    else:
-        return None
-    return xi_lb + zeta_lb + res_lb
+    return xi_lb + zeta_lb + min(model.residual.value, 0.0)
 
 
 def _stationary_xi_sample(model: PerturbedWalkModel, reps: int,
@@ -195,6 +190,25 @@ def _zeta_limit_cdf(model: PerturbedWalkModel, y: float) -> float:
     return float(mixture_cdf(mix, y))
 
 
+def _window_count(model: PerturbedWalkModel, B: EventPredicate, y: float,
+                  a: float, b: float, offset: Optional[float],
+                  block: PathBlock, final: bool
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row count of indices with (window in B, zeta_n <= y,
+    a < Z_n <= a+b); a row is done once its envelope passes a+b."""
+    sel = (block.Z > a) & (block.Z <= a + b) & (block.zeta <= y) & \
+        (block.n >= model.n0)
+    P = B.window_depth
+    wins = None
+    if P:
+        start = model.stationary.depth - P + 1  # window of n: W_{n-P+1..n}
+        wins = sliding_window_view(block.W, P, axis=1)[
+            :, start:start + sel.shape[1]].reshape(-1, P)
+    ok = B.evaluate(wins, block.xi.ravel()).reshape(sel.shape)
+    return final or offset is not None and block.S[:, -1] + offset > a + b, \
+        np.count_nonzero(sel & ok, axis=1)[:, None]
+
+
 def theorem1_counts(model: PerturbedWalkModel, B: EventPredicate, y: float,
                     a: float, b: float, reps: int, stream: RngStream,
                     rep_offset: int = 0) -> np.ndarray:
@@ -203,33 +217,12 @@ def theorem1_counts(model: PerturbedWalkModel, B: EventPredicate, y: float,
     if B.window_depth > model.stationary.depth + 1:
         raise ContractViolationError(
             "predicate window deeper than the xi burn-in can supply")
-    horizon = model.horizon(a)
     offset = _envelope_offset(model)
-    counts = np.empty(reps)
-    for r in range(reps):
-        engine = _PathEngine(model,
-                             stream.with_replication(rep_offset + r).generator())
-        pred_tail = engine.w_tail[len(engine.w_tail)
-                                  - min(B.window_depth, len(engine.w_tail)):] \
-            if B.window_depth else None
-        count = 0
-        while engine.n_done < horizon:
-            chunk = engine.extend(min(256, horizon - engine.n_done))
-            sel = (chunk["Z"] > a) & (chunk["Z"] <= a + b) & \
-                  (chunk["zeta"] <= y) & (chunk["n"] >= model.n0)
-            if B.window_depth:
-                joined = np.concatenate([pred_tail, chunk["W"]])
-                wins = sliding_window_view(joined, B.window_depth)
-                ok = B.evaluate(wins[-len(chunk["W"]):], chunk["xi"])
-                pred_tail = joined[-(B.window_depth - 1):] \
-                    if B.window_depth > 1 else joined[:0]
-            else:
-                ok = B.evaluate(None, chunk["xi"])
-            count += int(np.count_nonzero(sel & ok))
-            if offset is not None and chunk["S"][-1] + offset > a + b:
-                break
-        counts[r] = count
-    return counts
+    horizon = model.horizon(a)
+    length = horizon if offset is None else block_length(model, a + b)
+    return forward_kernel(
+        model, stream, reps, rep_offset, length, horizon,
+        partial(_window_count, model, B, y, a, b, offset), 1)[:, 0]
 
 
 def theorem1_experiment(model: PerturbedWalkModel, B: EventPredicate, y: float,
@@ -430,6 +423,26 @@ class Lemma1Row:
     se_tail: float
 
 
+def _lemma1_stats(model: PerturbedWalkModel, wb: WindowBounds, b: float,
+                  horizon: int, offset: Optional[float], block: PathBlock,
+                  final: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """(early count, late count, stopping tail) per row; a row is done
+    once its envelope passes a+b, after which every index has Z > a+b (the
+    block then covers n <= m, since it is longer than (a+b)/mu)."""
+    a, n, Z = wb.a, block.n, block.Z
+    past = np.zeros(len(Z), dtype=bool) if offset is None else \
+        block.S[:, -1] + offset > a + b
+    early = np.count_nonzero((n <= wb.m) & (Z > a), axis=1)
+    late = np.count_nonzero((n > wb.M) & (Z <= a + b), axis=1)
+    hits = (Z > a) & (n >= model.n0)
+    crossed = hits.any(axis=1)
+    # past the envelope without a crossing, only n0 > L was in the way
+    t = np.where(crossed, hits.argmax(axis=1) + 1,
+                 np.where(past, model.n0, horizon))
+    return past | final, np.column_stack(
+        [early, late, np.maximum(0, t - wb.M)]).astype(float)
+
+
 def lemma1_collect(model: PerturbedWalkModel, q: float, a: float, reps: int,
                    stream: RngStream, rep_offset: int = 0) -> np.ndarray:
     """Per-path (early count, late count, stopping tail) at one level,
@@ -439,34 +452,10 @@ def lemma1_collect(model: PerturbedWalkModel, q: float, a: float, reps: int,
     b = 0.5 * a ** (1.0 - q)
     horizon = max(model.horizon(a), wb.M + 1)
     offset = _envelope_offset(model)
-    out = np.empty((reps, 3))
-    for r in range(reps):
-        engine = _PathEngine(model,
-                             stream.with_replication(rep_offset + r).generator())
-        n0 = model.n0
-        cnt0 = 0
-        cnt1 = 0
-        t_a = None
-        while engine.n_done < horizon:
-            chunk = engine.extend(min(256, horizon - engine.n_done))
-            n = chunk["n"]
-            z = chunk["Z"]
-            cnt0 += int(np.count_nonzero((n <= wb.m) & (z > a)))
-            cnt1 += int(np.count_nonzero((n > wb.M) & (z <= a + b)))
-            if t_a is None:
-                hits = np.nonzero((z > a) & (n >= n0))[0]
-                if hits.size:
-                    t_a = int(n[hits[0]])
-            if offset is not None and chunk["S"][-1] + offset > a + b:
-                # every later index has Z above a+b: counts are final
-                last = int(n[-1])
-                if last < wb.m:
-                    cnt0 += wb.m - last
-                break
-        out[r, 0] = cnt0
-        out[r, 1] = cnt1
-        out[r, 2] = max(0.0, (t_a if t_a is not None else horizon) - wb.M)
-    return out
+    length = horizon if offset is None else block_length(model, a + b)
+    return forward_kernel(
+        model, stream, reps, rep_offset, length, horizon,
+        partial(_lemma1_stats, model, wb, b, horizon, offset), 3)
 
 
 def lemma1_diagnostic(model: PerturbedWalkModel, q: float,
@@ -502,28 +491,24 @@ class Lemma3Row:
     se: float
 
 
+def _coupling_count(model: PerturbedWalkModel, wb: WindowBounds, eps: float,
+                    block: PathBlock, final: bool
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row count of n in (m, M] with |zeta_n - zeta~_{m,n}| >= eps."""
+    coupled = zeta_window_path(block.T, wb.m, wb.m + 1, wb.M,
+                               model.quadratic)
+    diff = np.abs(block.zeta[:, wb.m:wb.M] - coupled)
+    return True, np.count_nonzero(diff >= eps, axis=1)[:, None]
+
+
 def lemma3_collect(model: PerturbedWalkModel, q: float, eps: float, a: float,
                    reps: int, stream: RngStream,
                    rep_offset: int = 0) -> np.ndarray:
     """Per-path coupling-failure counts at one level; replication r uses
     index rep_offset + r."""
-    a = float(a)
-    wb = WindowBounds.for_level(q, a, model.mu)
-    counts = np.empty(reps)
-    for r in range(reps):
-        engine = _PathEngine(model,
-                             stream.with_replication(rep_offset + r).generator())
-        t_rows = []
-        zeta = []
-        while engine.n_done < wb.M:
-            chunk = engine.extend(min(256, wb.M - engine.n_done))
-            t_rows.append(chunk["T"])
-            zeta.append(chunk["zeta"])
-        T = np.concatenate(t_rows)
-        full_zeta = np.concatenate(zeta)[wb.m: wb.M]
-        coupled = zeta_window_path(T, wb.m, wb.m + 1, wb.M, model.quadratic)
-        counts[r] = int(np.count_nonzero(np.abs(full_zeta - coupled) >= eps))
-    return counts
+    wb = WindowBounds.for_level(q, float(a), model.mu)
+    return forward_kernel(model, stream, reps, rep_offset, wb.M, wb.M,
+                          partial(_coupling_count, model, wb, eps), 1)[:, 0]
 
 
 def lemma3_diagnostic(model: PerturbedWalkModel, q: float, eps: float,

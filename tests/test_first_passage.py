@@ -225,3 +225,13 @@ def test_short_depth_warns(tm1_model):
     assert batch.depth_cap == 3
     with pytest.raises(ConfigurationError):
         backward_min_functional(tm1_model, 0, 10, RngStream(17))
+
+
+def test_backward_depth_cap_is_hard(tm1_model):
+    # the infimum is taken over j = -1..-5 only, and every replication
+    # without an exit by j = -5 is flagged (the exit rule cannot fire
+    # that early on this model, so all of them are)
+    with pytest.warns(RuntimeWarning):
+        batch = backward_min_functional(tm1_model, 5, 2000, RngStream(3))
+    assert np.all((batch.attained_index >= -5) & (batch.attained_index <= -1))
+    assert batch.truncated.all()

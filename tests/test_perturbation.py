@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import xi_value, zeta_quadratic, zeta_window
 from renewalsim import (
     IncrementLaw, QuadraticSpec, RngStream, StationarySpec, VectorLaw,
-    mixture_mean, mixture_weights, xi_value, zeta_quadratic,
-    zeta_quadratic_path, zeta_window, zeta_window_path,
+    mixture_mean, mixture_weights, zeta_quadratic_path, zeta_window_path,
 )
 from renewalsim.errors import ConfigurationError, ContractViolationError
 from renewalsim.perturbation import ResidualSpec
@@ -201,17 +201,8 @@ def test_mean_of_quadratic_term_matches_mixture():
 
 
 def test_residual_spec():
-    assert np.array_equal(ResidualSpec.zero().path(np.arange(3), {}),
-                          np.zeros(3))
-    assert np.array_equal(ResidualSpec.constant(0.3).path(np.arange(4), {}),
-                          np.full(4, 0.3))
-    hook = ResidualSpec.user_hook(lambda n, arrs: 1.0 / n)
-    assert np.allclose(hook.path(np.array([1.0, 2.0]), {}), [1.0, 0.5])
+    # the residual is the constant shift zeta''_n = value
+    assert ResidualSpec.zero().value == 0.0
+    assert ResidualSpec.constant(0.3).value == 0.3
     with pytest.raises(ConfigurationError):
         ResidualSpec("user_hook")
-    with pytest.raises(ConfigurationError):
-        ResidualSpec.user_hook(lambda n, arrs: np.ones(7)).path(
-            np.arange(3), {})
-    with pytest.raises(ConfigurationError):
-        ResidualSpec.user_hook(lambda n, arrs: np.full(len(n), np.nan)).path(
-            np.arange(3), {})

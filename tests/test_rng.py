@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from renewalsim import RngStream
+from renewalsim import IncrementLaw, RngStream, VectorLaw
+from renewalsim.rng import ReplicationGenerators
 
 
 def test_same_triple_reproduces_bitwise():
@@ -57,3 +58,34 @@ def test_seed_and_index_bounds():
         RngStream(3, replication_index=-1)
     with pytest.raises(ValueError):
         RngStream(3, stream_id=-1)
+
+
+def _law_draws(law, gen):
+    return law.sample(gen, 37)
+
+
+LAWS = [IncrementLaw.exponential(2.0), IncrementLaw.gamma(0.5, 1.0),
+        IncrementLaw.gamma(3.0, 2.0), IncrementLaw.normal(1.0, 2.0),
+        IncrementLaw.uniform(0.5, 1.5), IncrementLaw.deterministic(1.0),
+        IncrementLaw.quantile_table([0.0, 0.5, 2.0, 4.0])]
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+def test_rekeyed_generator_matches_fresh_one(law):
+    rng = np.random.default_rng(8)
+    seeds = [0, (1 << 64) - 1] + [2 * int(s) + 1 for s in
+                                  rng.integers(0, 1 << 63, 4)]
+    gauss = VectorLaw.gaussian([[1.0, 0.3], [0.3, 0.5]])
+    for seed in seeds:
+        stream_id = int(rng.integers(0, 1 << 20))
+        keys = ReplicationGenerators(RngStream(seed, 0, stream_id))
+        for r in [int(i) for i in rng.integers(0, 1 << 40, 3)] + [0, 5]:
+            fresh = RngStream(seed, r, stream_id).generator()
+            gen = keys.generator(r)
+            assert np.array_equal(_law_draws(law, gen),
+                                  _law_draws(law, fresh))
+            assert np.array_equal(gauss.materialize(np.zeros(5), gen),
+                                  gauss.materialize(np.zeros(5), fresh))
+            # leave a half-used output buffer and a cached 32-bit word;
+            # the next replication must not see either
+            gen.integers(0, 7, size=3, dtype=np.uint32)

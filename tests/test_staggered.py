@@ -146,7 +146,8 @@ def test_decomposition_identity(g):
 
 
 def test_decomposition_xi_matches_stationary_functional(fwci_model):
-    from renewalsim import StationarySpec, xi_value
+    from oracles import xi_value
+    from renewalsim import StationarySpec
 
     g = fwci_model.g
     vals = g.values_at(1.0)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import renewal_window_count
 from renewalsim import (
     EventPredicate, IncrementLaw, PerturbedWalkModel, RngStream,
     TheoremReport, Theorem4Result, Theorem4Row, lemma1_diagnostic,
-    lemma3_diagnostic, renewal_window_count, theorem1_experiment,
-    theorem3_experiment, theorem4_experiment,
+    lemma3_diagnostic, theorem1_experiment, theorem3_experiment,
+    theorem4_experiment,
 )
 from renewalsim.errors import ConfigurationError, ContractViolationError
 from renewalsim.verification import (

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from renewalsim import (
-    IncrementLaw, RngStream, VectorLaw, plain_overshoot,
-    renewal_window_count, sample_walk,
-)
+from oracles import plain_overshoot, renewal_window_count, sample_walk
+from renewalsim import IncrementLaw, RngStream, VectorLaw
 from renewalsim.errors import ConfigurationError
 
 
