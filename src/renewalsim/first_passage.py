@@ -461,6 +461,8 @@ def backward_kernel(draw: Callable[[np.random.Generator, int], np.ndarray],
     - 10 sigma sqrt(i) - xi_slack exceeds the running minimum of
     Z*_{-i} - xi_0; a row with no such i <= cap is truncated at j = -cap.
     """
+    if cap < 1:
+        raise ConfigurationError("depth must be >= 1", "backward.depth")
     D = max(xi_depth, 1)
     keys = ReplicationGenerators(stream)
 
@@ -506,9 +508,7 @@ def backward_min_functional(model: PerturbedWalkModel, depth: Optional[int],
     xi_slack = model.xi_slack(stream)
     rec = recommended_backward_depth(law.mean, law.variance, xi_slack)
     cap = rec if depth is None else int(depth)
-    if cap < 1:
-        raise ConfigurationError("depth must be >= 1", "backward.depth")
-    if cap < rec:
+    if 1 <= cap < rec:
         resid = residual_dip_probability(cap, law.mean, law.variance,
                                          law.central_moment4, xi_slack)
         warnings.warn(

@@ -15,6 +15,7 @@ from renewalsim import (
 )
 from renewalsim.errors import ConfigurationError
 from renewalsim.perturbation import ResidualSpec
+from renewalsim.staggered import staggered_backward_batch
 
 
 def make_batch(inf_value, xi0, truncated=None):
@@ -219,12 +220,14 @@ def test_depth_budget_helpers():
     assert 0.0 <= p2 < p1 < 1.0
 
 
-def test_short_depth_warns(tm1_model):
+def test_short_depth_warns(tm1_model, fwci_model):
     with pytest.warns(RuntimeWarning):
         batch = backward_min_functional(tm1_model, 3, 50, RngStream(17))
     assert batch.depth_cap == 3
     with pytest.raises(ConfigurationError):
         backward_min_functional(tm1_model, 0, 10, RngStream(17))
+    with pytest.raises(ConfigurationError):
+        staggered_backward_batch(fwci_model, 10, RngStream(17), depth=0)
 
 
 def test_backward_depth_cap_is_hard(tm1_model):
