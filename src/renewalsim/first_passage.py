@@ -128,10 +128,10 @@ def _chunked_cumsum(x: np.ndarray) -> np.ndarray:
     rows, L = x.shape[:2]
     padded = np.zeros((rows, -(-L // _CHUNK) * _CHUNK) + x.shape[2:])
     padded[:, :L] = x
-    sums = np.cumsum(padded.reshape((rows, -1, _CHUNK) + x.shape[2:]), axis=2)
-    carry = np.zeros_like(sums[:, :, 0])
-    np.cumsum(sums[:, :-1, -1], axis=1, out=carry[:, 1:])
-    return (carry[:, :, None] + sums).reshape(padded.shape)[:, :L]
+    sums = padded.reshape((rows, -1, _CHUNK) + x.shape[2:])
+    np.cumsum(sums, axis=2, out=sums)
+    sums[:, 1:] += np.cumsum(sums[:, :-1, -1], axis=1)[:, :, None]
+    return padded[:, :L]
 
 
 def _sub_batches(reps: int, length: int, limit: int, extra: int, width: int,
