@@ -2,15 +2,16 @@
 
 Usage:
     python3 tools/bench_pairs.py --out BENCH_6.json [--base REV] [--head REV]
-        [--pairs 10] [--seed 1001] [--seconds 30] [--workload NAME ...]
+        [--seed 1001]
 
 The committed files of ``--base`` (default HEAD~1) and ``--head`` (default
 HEAD) are extracted with ``git archive`` into a temporary directory, so
 neither side sees uncommitted edits and the repository gains no worktree.
-For each workload, pair i runs the unmodified ``perfbench/run.py
---workload W --seed SEED+i --seconds S --trace 0`` once in each checkout,
-one after the other: the base runs first in even pairs, the head in odd
-ones.  The record holds, per workload and end-to-end metric of
+For each workload of BENCHMARK.json, pair i (of PAIRS) runs the
+unmodified ``perfbench/run.py --workload W --seed SEED+i --seconds S
+--trace 0`` once in each checkout, S being BENCHMARK.json's
+``run_seconds``, one after the other: the base runs first in even pairs,
+the head in odd ones.  The record holds, per workload and end-to-end metric of
 BENCHMARK.json, each side's runs, median and quartiles, the head's
 change of the median, and the pairs the head won; per workload also
 each side's attempted and failed operations and whether every run was
@@ -31,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def _git(*args: str) -> str:
@@ -100,20 +102,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--base", default="HEAD~1")
     parser.add_argument("--head", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1001)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workload", action="append")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     revs = {side: _git("rev-parse", rev)
             for side, rev in (("base", args.base), ("head", args.head))}
     record = {
         "base": revs["base"], "head": revs["head"],
         "command": "perfbench/run.py --workload W --seed SEED --seconds "
-                   f"{args.seconds:g} --trace 0",
-        "seeds": [args.seed + i for i in range(args.pairs)],
+                   f"{seconds:g} --trace 0",
+        "seeds": [args.seed + i for i in range(PAIRS)],
         "order": "base first in even pairs, head first in odd pairs",
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "system": platform.platform()}}
@@ -124,11 +124,11 @@ def main(argv=None) -> int:
         for side, rev in revs.items():
             _extract(rev, dirs[side])
         for workload in workloads:
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.seed + i
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 for side in order:
-                    result = _run(dirs[side], workload, seed, args.seconds)
+                    result = _run(dirs[side], workload, seed, seconds)
                     runs[side][workload].append(result)
                     print(f"{workload} pair {i} {side}: reps_per_s "
                           f"{result['metrics']['reps_per_s']['value']:.0f}",
