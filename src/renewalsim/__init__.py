@@ -17,14 +17,14 @@ from .rng import RngStream
 from .laws import IncrementLaw, VectorLaw
 from .perturbation import (QuadraticSpec, ResidualSpec, StationarySpec,
                            zeta_quadratic_path, zeta_window_path)
-from .mixture import (ChiSquareMixture, mixture_cdf, mixture_mean,
-                      mixture_quantile, mixture_sample, mixture_weights)
+from .mixture import (ChiSquareMixture, mixture_cdf, mixture_quantile,
+                      mixture_sample, mixture_weights)
 from .parallel import map_replications
 from .first_passage import (BackwardBatch, FirstPassageSample, PassageSamples,
                             PassageSummary, PerturbedWalkModel,
                             RenewalConstants, backward_min_functional,
                             collect_passage, constants_from_batch,
-                            estimate_Et, estimate_rho_nu,
+                            estimate_rho_nu,
                             excess_cdf_from_backward,
                             recommended_backward_depth,
                             residual_dip_probability, simulate_passage,

@@ -353,14 +353,6 @@ def summarize_passage(samples: PassageSamples) -> PassageSummary:
         non_crossing_fraction=ncf)
 
 
-def estimate_Et(model: PerturbedWalkModel, a: float, reps: int,
-                stream: RngStream) -> PassageSummary:
-    """Mean and SE of t_a plus means of the stopped perturbed quantities."""
-    if reps < 100:
-        raise ConfigurationError("reps must be >= 100", "estimate_Et.reps")
-    return summarize_passage(collect_passage(model, a, reps, stream))
-
-
 def summarize_levels(model: PerturbedWalkModel, a_grid: Sequence[float],
                      reps: int, stream: RngStream, workers: int = 1
                      ) -> Tuple[PassageSummary, ...]:
@@ -450,9 +442,9 @@ def _exit_depth(mu: float, sigma: float, xi_slack: float) -> int:
 def backward_kernel(draw: Callable[[np.random.Generator, int], np.ndarray],
                     x_of: Callable[[np.ndarray], np.ndarray],
                     xi_backward: Callable[[np.ndarray], np.ndarray],
-                    xi_depth: int, mu: float, sigma: float, xi_slack: float,
-                    cap: int, stream: RngStream, reps: int,
-                    rep_offset: int) -> BackwardBatch:
+                    xi_depth: int, mu: float, sigma2: float, kappa4: float,
+                    xi_slack: float, depth: Optional[int], stream: RngStream,
+                    reps: int, rep_offset: int) -> BackwardBatch:
     """Backward functional of replications rep_offset..rep_offset+reps-1.
 
     ``draw(gen, k)`` gives a replication's backward rows W_0..W_{1-k};
@@ -460,9 +452,21 @@ def backward_kernel(draw: Callable[[np.random.Generator, int], np.ndarray],
     A row's infimum runs up to the first i where X_0 + ... + X_{-(i-1)}
     - 10 sigma sqrt(i) - xi_slack exceeds the running minimum of
     Z*_{-i} - xi_0; a row with no such i <= cap is truncated at j = -cap.
+    The cap is ``depth``, or the recommended depth when it is None; a
+    cap below the recommended one warns with the residual dip
+    probability, from X's variance ``sigma2`` and fourth central moment
+    ``kappa4``.
     """
+    rec = recommended_backward_depth(mu, sigma2, xi_slack)
+    cap = rec if depth is None else int(depth)
     if cap < 1:
         raise ConfigurationError("depth must be >= 1", "backward.depth")
+    if cap < rec:
+        resid = residual_dip_probability(cap, mu, sigma2, kappa4, xi_slack)
+        warnings.warn(
+            f"backward depth {cap} below recommended {rec}; residual dip "
+            f"probability about {resid:.2e}", RuntimeWarning)
+    sigma = math.sqrt(sigma2)
     D = max(xi_depth, 1)
     keys = ReplicationGenerators(stream)
 
@@ -505,19 +509,11 @@ def backward_min_functional(model: PerturbedWalkModel, depth: Optional[int],
     flagged and a residual dip probability is estimated for the warning.
     """
     law = model.increment_law
-    xi_slack = model.xi_slack(stream)
-    rec = recommended_backward_depth(law.mean, law.variance, xi_slack)
-    cap = rec if depth is None else int(depth)
-    if 1 <= cap < rec:
-        resid = residual_dip_probability(cap, law.mean, law.variance,
-                                         law.central_moment4, xi_slack)
-        warnings.warn(
-            f"backward depth {cap} below recommended {rec}; residual dip "
-            f"probability about {resid:.2e}", RuntimeWarning)
     spec = model.stationary
     return backward_kernel(law.sample, lambda w: w, spec.xi_backward,
-                           spec.depth, law.mean, math.sqrt(law.variance),
-                           xi_slack, cap, stream, reps, rep_offset)
+                           spec.depth, law.mean, law.variance,
+                           law.central_moment4, model.xi_slack(stream), depth,
+                           stream, reps, rep_offset)
 
 
 def excess_cdf_from_backward(batch: BackwardBatch,

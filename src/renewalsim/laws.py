@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConfigurationError
 
@@ -199,13 +199,13 @@ class IncrementLaw:
         k, p = self.kind, self.params
         q = np.asarray(q, dtype=float)
         if k == "exponential":
-            return stats.expon.ppf(q, scale=1.0 / p[0])
+            return -special.log1p(-q) * (1.0 / p[0])
         if k == "gamma":
-            return stats.gamma.ppf(q, p[0], scale=1.0 / p[1])
+            return special.gammaincinv(p[0], q) * (1.0 / p[1])
         if k == "normal":
-            return stats.norm.ppf(q, loc=p[0], scale=p[1])
+            return special.ndtri(q) * p[1] + p[0]
         if k == "uniform":
-            return stats.uniform.ppf(q, loc=p[0], scale=p[1] - p[0])
+            return q * (p[1] - p[0]) + p[0]
         if k == "deterministic":
             return np.full_like(q, p[0])
         knots = np.asarray(p)

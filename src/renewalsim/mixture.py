@@ -106,11 +106,6 @@ def mixture_weights(Q: QuadraticSpec, sigma: CovarianceEstimate,
     return ChiSquareMixture(tuple(float(v) for v in w), cdf_tolerance)
 
 
-def mixture_mean(mix: ChiSquareMixture) -> float:
-    """Mean of the mixture: the exact weight sum."""
-    return mix.mean
-
-
 # -- characteristic-function inversion ---------------------------------
 
 def _theta(u, lams, z):

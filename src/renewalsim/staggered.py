@@ -21,8 +21,7 @@ import numpy as np
 from .errors import (ConfigurationError, ContractViolationError,
                      StatisticUndefinedError)
 from .first_passage import (BackwardBatch, RenewalConstants, backward_kernel,
-                            backward_stream, constants_from_batch,
-                            recommended_backward_depth)
+                            backward_stream, constants_from_batch)
 from .parallel import map_replications
 from .perturbation import StationarySpec
 from .rng import RngStream
@@ -31,10 +30,6 @@ _TRIAL_BLOCK = 256
 # the backward rows are drawn in segments of 192 (the first one longer by
 # the xi depth), each segment's lifetimes before its interarrival gaps
 _BACK_SEGMENT = 192
-# rows per block of the (rows x n) count matrices: small enough (a few
-# hundred kB at n ~ 500) that the allocator reuses their memory from one
-# block to the next instead of returning it and faulting it in again
-_COUNT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -233,33 +228,41 @@ def statistic_Z(state: TrialState, g: GStatistic) -> float:
     return float(n * g.g(state.K_n / n, state.T_star / n))
 
 
-def _counts_over_range(tau: np.ndarray, L: np.ndarray, j_lo: int,
-                       j_hi: int) -> Tuple[np.ndarray, np.ndarray]:
-    """K_j and T*_j for j = j_lo..j_hi, in blocks to bound memory."""
-    K = np.empty(j_hi - j_lo + 1, dtype=np.int64)
-    T = np.empty(j_hi - j_lo + 1)
-    k_idx = np.arange(1, j_hi + 1)
-    L_row = L[:j_hi]
-    tau_row = tau[:j_hi]
-    for lo in range(j_lo, j_hi + 1, _COUNT_ROWS):
-        hi = min(lo + _COUNT_ROWS - 1, j_hi)
-        j_col = np.arange(lo, hi + 1)
-        obs = tau[j_col][:, None] - tau_row[None, :]
-        mask = k_idx[None, :] <= j_col[:, None]
-        K[lo - j_lo: hi - j_lo + 1] = ((L_row <= obs) & mask).sum(axis=1)
-        T[lo - j_lo: hi - j_lo + 1] = np.where(
-            mask, np.minimum(L_row, obs), 0.0).sum(axis=1)
-    return K, T
+def _trajectory(tau: np.ndarray, L: np.ndarray, g: GStatistic
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K_j, T*_j and Z_j = j g(K_j/j, T*_j/j) for j = 1..n (Z_j = -inf
+    while K_j = 0), from the death times d_k = tau_{k-1} + L_k sorted once.
+
+    Patient k is dead at tau_j when d_k <= tau_j.  A patient k > j arrives
+    at tau_{k-1} >= tau_j, so it can only count there when it arrives at
+    tau_j with a zero lifetime; those are taken out of K_j, and in T*_j
+    they add L_k - tau_j + tau_j = 0.  With prefix sums in death order,
+    T*_j = sum_dead L + (j - K_j) tau_j - (sum_{k<=j} tau_{k-1}
+    - sum_dead tau_{k-1}).
+    """
+    n = len(L)
+    arrive = tau[:n]
+    at = tau[1:]
+    d = arrive + L
+    order = np.argsort(d, kind="stable")
+    dead = np.searchsorted(d[order], at, side="right")
+    sum_L = np.concatenate([[0.0], np.cumsum(L[order])])[dead]
+    sum_tau = np.concatenate([[0.0], np.cumsum(arrive[order])])[dead]
+    j = np.arange(1, n + 1)
+    T = sum_L + (j - dead) * at - (np.cumsum(arrive) - sum_tau)
+    # patients k > j in ``dead``: zero lifetimes arriving at tau_{k-1} = tau_j
+    instant = np.concatenate([[0], np.cumsum(d == arrive)])
+    K = dead - (instant[np.searchsorted(arrive, at, side="right")]
+                - instant[j])
+    z = np.full(n, -np.inf)
+    pos = K > 0
+    z[pos] = j[pos] * g.g(K[pos] / j[pos], T[pos] / j[pos])
+    return K, T, z
 
 
 def statistic_trajectory(state: TrialState, g: GStatistic) -> np.ndarray:
     """Z_j for j = 1..n along the trial path; -inf where K_j = 0."""
-    K, T = _counts_over_range(state.tau, state.L, 1, state.n)
-    j = np.arange(1, state.n + 1, dtype=float)
-    z = np.full(state.n, -np.inf)
-    pos = K > 0
-    z[pos] = j[pos] * g.g(K[pos] / j[pos], T[pos] / j[pos])
-    return z
+    return _trajectory(state.tau, state.L, g)[2]
 
 
 @dataclass(frozen=True)
@@ -303,33 +306,22 @@ def trial_first_passage(model: StaggeredExponentialModel, a: float,
                              else _TRIAL_BLOCK))
     gaps = np.empty(0)
     L = np.empty(0)
-    n_have = 0
-    t_hit = None
-    while n_have < horizon:
-        grow = first if n_have == 0 else min(_TRIAL_BLOCK, horizon - n_have)
+    while len(L) < horizon:
+        grow = first if len(L) == 0 else min(_TRIAL_BLOCK, horizon - len(L))
         gaps = np.concatenate([gaps,
                                gen.exponential(1.0 / model.arrival_rate, grow)])
         L = np.concatenate([L, gen.exponential(1.0 / model.theta, grow)])
         tau = np.concatenate([[0.0], np.cumsum(gaps)])
-        j_lo = max(model.n0, n_have + 1)
-        n_have += grow
-        if j_lo > n_have:
-            continue
-        K, T = _counts_over_range(tau, L, j_lo, n_have)
-        j = np.arange(j_lo, n_have + 1, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(K > 0, j * np.asarray(model.g.g(K / j, T / j)),
-                         -np.inf)
-        hits = np.nonzero(z > a)[0]
+        # patients added later do not change Z_j: a death by tau_j belongs
+        # to a patient k <= j
+        K, T, z = _trajectory(tau, L, model.g)
+        hits = np.nonzero(z[model.n0 - 1:] > a)[0]
         if hits.size:
-            i = int(hits[0])
-            t_hit = (int(j[i]), float(z[i]), float(K[i]), float(T[i]))
-            break
-    if t_hit is None:
-        return TrialPassage(a, math.nan, math.nan, math.nan, math.nan,
-                            False, n_have)
-    return TrialPassage(a, float(t_hit[0]), t_hit[1], t_hit[2], t_hit[3],
-                        True, n_have)
+            i = model.n0 - 1 + int(hits[0])
+            return TrialPassage(a, float(i + 1), float(z[i]), float(K[i]),
+                                float(T[i]), True, len(L))
+    return TrialPassage(a, math.nan, math.nan, math.nan, math.nan, False,
+                        len(L))
 
 
 # -- decomposition --------------------------------------------------------
@@ -421,8 +413,6 @@ def staggered_backward_batch(model: StaggeredExponentialModel, reps: int,
                      slack_gen.exponential(1.0 / rate, (4096, d_eff))], axis=2)
     xi_probe = spec.xi_of_windows(wins)
     xi_slack = abs(float(np.mean(xi_probe))) + 10.0 * float(np.std(xi_probe))
-    rec = recommended_backward_depth(mu, sigma2, xi_slack)
-    cap = rec if depth is None else int(depth)
 
     def draw(gen: np.random.Generator, k: int) -> np.ndarray:
         more = -(-(k - d_eff) // _BACK_SEGMENT) - 1  # segments after the first
@@ -430,10 +420,12 @@ def staggered_backward_batch(model: StaggeredExponentialModel, reps: int,
             [gen.exponential(1.0 / theta, n), gen.exponential(1.0 / rate, n)])
             for n in [_BACK_SEGMENT + d_eff] + [_BACK_SEGMENT] * more])[:k]
 
+    # X = mu + g01 (L - 1/theta); an exponential's fourth central moment
+    # is 9 / theta^4
     x_of = lambda rows: mu + vals.g01 * (rows[..., 0] - 1.0 / theta)
-    return backward_kernel(draw, x_of, spec.xi_backward, d_eff, mu,
-                           math.sqrt(sigma2), xi_slack, cap, stream, reps,
-                           rep_offset)
+    return backward_kernel(draw, x_of, spec.xi_backward, d_eff, mu, sigma2,
+                           vals.g01 ** 4 * 9.0 / theta ** 4, xi_slack, depth,
+                           stream, reps, rep_offset)
 
 
 def staggered_constants(model: StaggeredExponentialModel, reps: int,

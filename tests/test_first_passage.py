@@ -9,7 +9,7 @@ from renewalsim import (
     BackwardBatch, IncrementLaw, PassageSamples, PerturbedWalkModel,
     QuadraticSpec, RngStream, StationarySpec, VectorLaw,
     backward_min_functional, collect_passage, constants_from_batch,
-    estimate_Et, estimate_rho_nu, excess_cdf_from_backward,
+    estimate_rho_nu, excess_cdf_from_backward,
     recommended_backward_depth, residual_dip_probability, simulate_passage,
     summarize_passage,
 )
@@ -98,11 +98,10 @@ def test_collect_passage_chunk_equivalence(tm1_model):
     assert np.array_equal(whole.crossed, parts.crossed)
 
 
-def test_estimate_Et_guards():
+def test_summarize_collected_passage():
     model = PerturbedWalkModel(increment_law=IncrementLaw.exponential(1.0))
-    with pytest.raises(ConfigurationError):
-        estimate_Et(model, 20.0, 50, RngStream(1))
-    summary = estimate_Et(model, 20.0, 400, RngStream(2))
+    summary = summarize_passage(collect_passage(model, 20.0, 400,
+                                                RngStream(2)))
     assert summary.reps == 400
     assert summary.usable
 

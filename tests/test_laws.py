@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import renewalsim
 from renewalsim import IncrementLaw, RngStream, VectorLaw
 from renewalsim.errors import ConfigurationError
 from renewalsim.laws import CovarianceEstimate
@@ -37,6 +42,32 @@ def test_ppf_monotone_and_supported(law):
     v = law.ppf(q)
     assert np.all(np.diff(v) >= 0)
     assert v.min() >= law.support_min - 1e-12
+
+
+@pytest.mark.parametrize("law", LAWS[:4], ids=lambda l: l.kind)
+def test_ppf_equals_scipy_stats(law):
+    # the 4096 midpoints StationarySpec.centered integrates over, and
+    # uniform draws
+    q = np.concatenate([(np.arange(4096) + 0.5) / 4096,
+                        RngStream(315).generator().random(100_000)])
+    p = law.params
+    ref = {"exponential": lambda: stats.expon.ppf(q, scale=1.0 / p[0]),
+           "gamma": lambda: stats.gamma.ppf(q, p[0], scale=1.0 / p[1]),
+           "normal": lambda: stats.norm.ppf(q, loc=p[0], scale=p[1]),
+           "uniform": lambda: stats.uniform.ppf(q, loc=p[0],
+                                                scale=p[1] - p[0]),
+           }[law.kind]()
+    assert np.array_equal(law.ppf(q), ref)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = os.path.dirname(os.path.dirname(renewalsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, renewalsim.cli; "
+         "print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_exponential_quantities():

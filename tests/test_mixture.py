@@ -6,8 +6,7 @@ from scipy import integrate, special, stats
 
 from renewalsim import (
     ChiSquareMixture, IncrementLaw, QuadraticSpec, RngStream, VectorLaw,
-    mixture_cdf, mixture_mean, mixture_quantile, mixture_sample,
-    mixture_weights,
+    mixture_cdf, mixture_quantile, mixture_sample, mixture_weights,
 )
 from renewalsim.errors import ConfigurationError, NumericError
 from renewalsim.laws import CovarianceEstimate
@@ -34,7 +33,7 @@ def test_weights_respect_covariance_rotation():
     mix = mixture_weights(Q, sigma)
     # eigenvalues of Sigma^(1/2) Q Sigma^(1/2) = eigenvalues of Q Sigma here
     assert sorted(mix.weights) == pytest.approx([1.0, 3.0])
-    assert mixture_mean(mix) == pytest.approx(4.0)
+    assert mix.mean == pytest.approx(4.0)
 
 
 def test_non_psd_covariance_rejected():
@@ -73,7 +72,7 @@ def test_signed_weights_symmetry():
     z = np.array([0.3, 1.0, 2.5])
     assert np.allclose(mixture_cdf(mix, z) + mixture_cdf(mix, -z), 1.0,
                        atol=3e-6)
-    assert mixture_mean(mix) == pytest.approx(0.0)
+    assert mix.mean == pytest.approx(0.0)
 
 
 def test_cdf_monotone_and_bounded():
@@ -205,7 +204,7 @@ def test_sample_agrees_with_quadrature():
     grid = np.quantile(draws, np.linspace(0.02, 0.98, 49))
     emp = np.searchsorted(np.sort(draws), grid, side="right") / len(draws)
     assert np.max(np.abs(emp - mixture_cdf(mix, grid))) < 0.006
-    assert draws.mean() == pytest.approx(mixture_mean(mix), rel=0.02)
+    assert draws.mean() == pytest.approx(mix.mean, rel=0.02)
 
 
 def test_mixture_validation():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import xi_value, zeta_quadratic, zeta_window
 from renewalsim import (
     IncrementLaw, QuadraticSpec, RngStream, StationarySpec, VectorLaw,
-    mixture_mean, mixture_weights, zeta_quadratic_path, zeta_window_path,
+    mixture_weights, zeta_quadratic_path, zeta_window_path,
 )
 from renewalsim.errors import ConfigurationError, ContractViolationError
 from renewalsim.perturbation import ResidualSpec
@@ -190,7 +190,7 @@ def test_mean_of_quadratic_term_matches_mixture():
     vl = VectorLaw.centered_x().bind(law)
     Q = QuadraticSpec(np.array([[0.5]]))
     mix = mixture_weights(Q, vl.cov())
-    assert mixture_mean(mix) == pytest.approx(0.5)
+    assert mix.mean == pytest.approx(0.5)
     reps, n = 40_000, 25
     w = law.sample(RngStream(41, stream_id=3).generator(),
                    reps * n).reshape(reps, n)

@@ -111,15 +111,37 @@ def test_statistic_undefined_before_first_death():
 
 
 def test_trajectory_matches_per_state_recompute(fwci_model):
-    state = simulate_trial(fwci_model, 60, RngStream(31))
-    z = statistic_trajectory(state, fwci_model.g)
-    for j in (1, 7, 23, 60):
-        sub = TrialState.from_data(state.tau[: j + 1], state.L[:j])
-        if sub.K_n == 0:
-            assert z[j - 1] == -math.inf
-        else:
-            assert z[j - 1] == pytest.approx(
-                statistic_Z(sub, fwci_model.g), rel=1e-10)
+    for n, seed, prefixes in ((60, 31, (1, 7, 23, 60)),
+                              (1537, 46, (1, 2, 3, 50, 384, 385, 1000,
+                                          1536, 1537))):
+        state = simulate_trial(fwci_model, n, RngStream(seed))
+        z = statistic_trajectory(state, fwci_model.g)
+        for j in prefixes:
+            sub = TrialState.from_data(state.tau[: j + 1], state.L[:j])
+            if sub.K_n == 0:
+                assert z[j - 1] == -math.inf
+            else:
+                assert z[j - 1] == pytest.approx(
+                    statistic_Z(sub, fwci_model.g), rel=1e-10)
+
+
+def test_trajectory_counts_ties_like_per_state():
+    # patients 2 and 4 arrive at tau_1 = 1 and tau_3 = 2 with zero
+    # lifetimes: each is dead at its own arrival, but not counted at an
+    # earlier analysis time with the same clock value; g = x and g = y
+    # read K_j and T*_j off the trajectory
+    state = TrialState.from_data([0.0, 1.0, 1.0, 2.0, 3.0],
+                                 [1.0, 0.0, 0.5, 0.0])
+    zero = lambda x, y: 0.0 * x
+    K = statistic_trajectory(state, GStatistic.custom(
+        lambda x, y: x, *([zero] * 5)))
+    T = statistic_trajectory(state, GStatistic.custom(
+        lambda x, y: y, *([zero] * 5)))
+    assert list(np.rint(K)) == [1, 2, 3, 4]
+    for j in range(1, state.n + 1):
+        ref = TrialState.from_data(state.tau[: j + 1], state.L[:j])
+        assert np.rint(K[j - 1]) == ref.K_n
+        assert abs(T[j - 1] - ref.T_star) <= 1e-12
 
 
 def test_trajectory_minus_inf_before_first_death():
@@ -269,6 +291,13 @@ def test_backward_batch_chunk_equivalence(fwci_model):
                                     rep_offset=18)
     assert np.array_equal(whole.inf_value[18:], part.inf_value)
     assert np.array_equal(whole.xi0[18:], part.xi0)
+
+
+def test_backward_batch_warns_below_recommended_depth(fwci_model):
+    with pytest.warns(RuntimeWarning, match="below recommended"):
+        batch = staggered_backward_batch(fwci_model, 20, RngStream(40),
+                                         depth=5)
+    assert batch.depth_cap == 5
 
 
 def test_example1_smoke(fwci_model):
