@@ -31,7 +31,12 @@ rho(u) = prod_i (1 + lambda_i^2 u^2)^{1/4}.  The head of the integral is
 done with adaptive Gauss-Legendre panels; past the point where the
 phase becomes strictly monotone the integral is summed lobe by lobe
 (one sign-constant arch of the sine per term) and the alternating
-series is accelerated by iterated averaging.
+series is accelerated by iterated averaging.  The panels use the
+24-point Gauss-Legendre rule of ``numpy.polynomial.legendre.leggauss``,
+and every root (the start of the monotone phase, each arch end, each
+quantile) comes from ``_brentq``, a port of scipy's Brent solver; so the
+module needs ``scipy.special`` alone, whose import does not load
+``scipy.linalg`` or ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -41,15 +46,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammainc, roots_legendre
+from scipy.special import gammainc
 
 from .errors import ConfigurationError, NumericError
 from .laws import CovarianceEstimate
 from .perturbation import QuadraticSpec
 from .rng import RngStream
 
-_GL_X, _GL_W = roots_legendre(24)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _MAX_LOBES = 200_000
 # Series terms past which a one-signed mixture goes to the inversion: at
 # ~0.1-0.3 us per incomplete gamma a point then costs up to ~1 ms, a third
@@ -106,6 +110,73 @@ def mixture_weights(Q: QuadraticSpec, sigma: CovarianceEstimate,
     return ChiSquareMixture(tuple(float(v) for v in w), cdf_tolerance)
 
 
+# -- root finding ------------------------------------------------------
+
+def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
+            rtol: float = 4 * np.finfo(float).eps,
+            maxiter: int = 100) -> float:
+    """A root of f between xa and xb by Brent's (1973) method.
+
+    A line-for-line port of scipy's ``brentq.c`` with its defaults, so it
+    returns the bits ``scipy.optimize.brentq`` returns.  Raises ValueError
+    when f(xa) and f(xb) have one sign or f gives NaN, and RuntimeError
+    when maxiter iterations do not converge.
+    """
+    def fx(x):
+        v = float(f(x))
+        if math.isnan(v):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return v
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = fx(xpre)
+    fcur = fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 * delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 # -- characteristic-function inversion ---------------------------------
 
 def _theta(u, lams, z):
@@ -148,8 +219,8 @@ def _invert(lams: np.ndarray, z: float, tol: float) -> Tuple[float, float]:
             hi = 1.0
             while _slope_bound(hi, lams) > 0.25 * z:
                 hi *= 2.0
-            u0 = max(brentq(lambda u: _slope_bound(u, lams) - 0.25 * z, 0.0, hi),
-                     1.0)
+            u0 = max(_brentq(lambda u: _slope_bound(u, lams) - 0.25 * z,
+                             0.0, hi), 1.0)
     else:
         u0 = 64.0 / float(np.min(np.abs(lams)))
 
@@ -190,7 +261,7 @@ def _invert(lams: np.ndarray, z: float, tol: float) -> Tuple[float, float]:
         while float(_theta(np.array(hi), lams, z)) > target and tries < 200:
             hi += width
             tries += 1
-        root = brentq(lambda u: float(_theta(np.array(u), lams, z)) - target,
+        root = _brentq(lambda u: float(_theta(np.array(u), lams, z)) - target,
                       lo, hi)
         run += _gl_panel(prev, root, lams, z)
         psums.append(run)
@@ -320,7 +391,7 @@ def mixture_quantile(mix: ChiSquareMixture, p: float) -> float:
         if mixture_cdf(mix, hi) > p:
             break
         hi += spread
-    return float(brentq(lambda v: mixture_cdf(mix, v) - p, lo, hi, xtol=1e-10))
+    return _brentq(lambda v: mixture_cdf(mix, v) - p, lo, hi, xtol=1e-10)
 
 
 def mixture_sample(mix: ChiSquareMixture, stream: RngStream, n: int) -> np.ndarray:

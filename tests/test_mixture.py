@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 from renewalsim import (
     ChiSquareMixture, IncrementLaw, QuadraticSpec, RngStream, VectorLaw,
@@ -214,3 +217,93 @@ def test_mixture_validation():
         ChiSquareMixture((1.0, math.nan))
     with pytest.raises(ConfigurationError):
         ChiSquareMixture((1.0,), cdf_tolerance=0.0)
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_linalg():
+    src = os.path.dirname(os.path.dirname(mixture.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, renewalsim.cli; print([m for m in "
+         "('scipy.optimize', 'scipy.linalg', 'scipy.sparse', 'scipy.spatial', "
+         "'scipy.fft') if m in sys.modules])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_gauss_legendre_nodes_match_scipy():
+    x, w = special.roots_legendre(24)
+    assert np.max(np.abs(mixture._GL_X - x)) <= 1e-15
+    assert np.max(np.abs(mixture._GL_W - w)) <= 1e-15
+
+
+def _random_brackets(rng, n):
+    """n functions with a sign change between lo and hi: three smooth
+    families, and a ramp clipped to -1 and 1 at both ends of a dyadic
+    bracket, so |f(lo)| = |f(hi)| exactly."""
+    for i in range(n):
+        r, s = rng.uniform(-5.0, 5.0), rng.lognormal(0.0, 1.0)
+        c = rng.uniform(-0.9, 0.9)
+        lo, hi = r - rng.lognormal(0.0, 1.0), r + rng.lognormal(0.0, 1.0)
+        if i % 4 == 3:
+            r, h = rng.integers(-320, 320) / 64.0, rng.integers(1, 64) / 16.0
+            lo, hi = r - h, r + h
+        f = [lambda x: math.atan(s * (x - r)) + abs(c) * (x - r) ** 3,
+             lambda x: math.expm1(s * (x - r) / 3.0) - c * (x - r) / 50.0,
+             lambda x: (x - r) * (x - hi - abs(c) - 0.1) * (x - lo + s + 0.1),
+             lambda x: max(-1.0, min(1.0, 20.0 * (x - r - c * h) / h)),
+             ][i % 4]
+        yield f, lo, hi
+
+
+@pytest.mark.parametrize("xtol", [2e-12, 1e-10])
+def test_brentq_equals_scipy_on_random_brackets(xtol):
+    for f, lo, hi in _random_brackets(np.random.default_rng(909), 600):
+        assert mixture._brentq(f, lo, hi, xtol=xtol).hex() \
+            == optimize.brentq(f, lo, hi, xtol=xtol).hex()
+
+
+@pytest.fixture
+def both_solvers(monkeypatch):
+    """Solve every root of the module with _brentq and scipy's brentq;
+    the list holds each root after asserting that the two are one float."""
+    roots = []
+    own = mixture._brentq
+
+    def both(f, a, b, **kw):
+        root = own(f, a, b, **kw)
+        assert root.hex() == optimize.brentq(f, a, b, **kw).hex()
+        roots.append(root)
+        return root
+
+    monkeypatch.setattr(mixture, "_brentq", both)
+    return roots
+
+
+@pytest.mark.parametrize("weights", [(0.7, 0.2, 0.1), (-0.5, -0.3),
+                                     (1.0, -0.5)])
+def test_brentq_equals_scipy_in_quantiles(both_solvers, weights):
+    for p in (0.05, 0.5, 0.95):
+        mixture_quantile(ChiSquareMixture(weights), p)
+    assert len(both_solvers) >= 3
+
+
+def test_brentq_equals_scipy_in_mixed_sign_inversion(both_solvers):
+    # small z reaches the slope-bound root; every z sums lobes
+    for z in (-2.0, -0.01, 1e-3, 0.3, 4.0):
+        _cdf_scalar((1.0, -0.5, 0.3), z, 2.5e-7)
+    assert len(both_solvers) > 50
+
+
+@pytest.mark.parametrize("f, a, b, kw, err", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError),
+    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, {},
+     ValueError),
+    (lambda x: x ** 3 - 2.0, 0.0, 2.0, {"maxiter": 3}, RuntimeError),
+], ids=["same-sign", "nan", "maxiter"])
+def test_brentq_raises_like_scipy(f, a, b, kw, err):
+    messages = []
+    for solver in (mixture._brentq, optimize.brentq):
+        with pytest.raises(err) as info:
+            solver(f, a, b, **kw)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
