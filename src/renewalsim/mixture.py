@@ -262,7 +262,7 @@ def _invert(lams: np.ndarray, z: float, tol: float) -> Tuple[float, float]:
             hi += width
             tries += 1
         root = _brentq(lambda u: float(_theta(np.array(u), lams, z)) - target,
-                      lo, hi)
+                       lo, hi)
         run += _gl_panel(prev, root, lams, z)
         psums.append(run)
         prev = root
