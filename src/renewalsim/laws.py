@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigurationError
 
@@ -198,6 +197,11 @@ class IncrementLaw:
     def ppf(self, q) -> np.ndarray:
         k, p = self.kind, self.params
         q = np.asarray(q, dtype=float)
+        if k in ("exponential", "gamma", "normal"):
+            # imported here alone: the inverse CDFs of these three are the
+            # package's only use of scipy, so a run that never asks for
+            # them never loads it
+            from scipy import special
         if k == "exponential":
             return -special.log1p(-q) * (1.0 / p[0])
         if k == "gamma":

@@ -13,13 +13,16 @@ weights, never on the evaluation points:
   F(z) = sum_k c_k P(chi2_{d+2k} <= z / beta), beta = min lambda_i,
   whose coefficients are nonnegative and sum to 1.  Each term is at most
   c_k, so the error of a truncated sum is at most 1 - sum(kept c_k),
-  which is computed before any point is evaluated; each term is then
-  one vectorised incomplete-gamma call over all points.  The series is
-  accurate at every z, including z -> 0, where the inversion below
-  misses its tolerance.  Weights of one negative sign use the reflection
-  F(z) = 1 - F_{-lambda}(-z).  Widely spread weights need many terms
-  (about 13 * max/min at the default tolerance); past ``_MAX_TERMS``,
-  a spread of about 300, the series is left to the inversion.
+  which is computed before any point is evaluated.  The truncated sum
+  is then evaluated over all points at once from the Poisson-type terms
+  x^(a+j) e^-x / Gamma(a+j+1) of the incomplete gamma function, with
+  ``math.erfc`` or ``exp`` as the base (see ``_series_cdf``), to about
+  1e-12 relative.  The series is accurate at every z, including z -> 0,
+  where the inversion below misses its tolerance.  Weights of one
+  negative sign use the reflection F(z) = 1 - F_{-lambda}(-z).  Widely
+  spread weights need many terms (about 13 * max/min at the default
+  tolerance); past ``_MAX_TERMS``, a spread of about 300, the series is
+  left to the inversion.
 * Mixed signs: the series has no nonnegative form and so no such error
   bound, so the CDF is found point by point by numerical inversion of
   the characteristic function prod_j (1 - 2 i lambda_j t)^{-1/2}
@@ -35,8 +38,7 @@ series is accelerated by iterated averaging.  The panels use the
 24-point Gauss-Legendre rule of ``numpy.polynomial.legendre.leggauss``,
 and every root (the start of the monotone phase, each arch end, each
 quantile) comes from ``_brentq``, a port of scipy's Brent solver; so the
-module needs ``scipy.special`` alone, whose import does not load
-``scipy.linalg`` or ``scipy.optimize``.
+module runs on numpy and the standard library alone.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import ConfigurationError, NumericError
 from .laws import CovarianceEstimate
@@ -56,9 +57,13 @@ from .rng import RngStream
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _MAX_LOBES = 200_000
 # Series terms past which a one-signed mixture goes to the inversion: at
-# ~0.1-0.3 us per incomplete gamma a point then costs up to ~1 ms, a third
-# of an inverted point, and the coefficient recursion ~30 ms.
+# the cap the coefficient recursion takes ~30 ms and a point ~10 us, where
+# an inverted point takes ~3 ms.
 _MAX_TERMS = 4096
+# Relative size of the tail at which a point of the series stops, and the
+# number of terms added between two stopping checks.
+_SERIES_EPS = 2.0 ** -54
+_SERIES_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -333,16 +338,67 @@ def _series_coefficients(lams: np.ndarray,
 
 
 def _series_cdf(lams: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k c_k P(chi2_{d+2k} <= z/beta) at each point of the 1-d array z.
+    """sum_k c_k P(a + k, x) at each point of the 1-d array z, where
+    a = d/2, x = z/(2 beta) and P is the regularized lower incomplete gamma.
 
-    Summed term by term over all points at once, so each point's value
-    does not depend on which other points share the call.
+    With t_j = x^(a+j) e^-x / Gamma(a+j+1), P(a+k, x) = sum_{j>=k} t_j, so
+    the sum is sum_j t_j C_j with C_j = c_0 + ... + c_min(j,K).  For any
+    constant L it equals L P(a, x) + sum_j t_j (C_j - L); each point takes
+    L = C_{k-1}, k the first index with a + k >= x (L = 0 when x <= a).
+    The terms j < k - 1 are then the only negative ones, and they add up
+    to at most L (P(a, x) - P(a+k-1, x)) while the result is at least
+    L P(a+k-1, x) >= L / 2, so nothing cancels badly whatever the shape of
+    c.  P(a, x) = 1 - Q(a, x) comes from Q(1/2, x) = erfc(sqrt x) or
+    Q(1, x) = e^-x and upward steps of t-terms; each t_j is exp of its
+    logarithm.  A point stops once the tail bound of its remaining terms,
+    past their peak, is below 2^-54 of its running sum.  Every step is
+    elementwise, so each point's value does not depend on which other
+    points share the call.
     """
     x = np.maximum(z, 0.0) / (2.0 * float(np.min(lams)))
-    out = np.zeros(len(x))
-    for k, ck in enumerate(c):
-        out += ck * gammainc(0.5 * len(lams) + k, x)
-    return np.minimum(out, 1.0)
+    a = 0.5 * len(lams)
+    a0 = 0.5 if len(lams) % 2 else 1.0
+    K = len(c) - 1
+    C = np.cumsum(c)
+    total = float(C[-1])
+    k = np.minimum(np.maximum(np.ceil(x - a), 0.0), K + 1.0).astype(np.intp)
+    L = np.concatenate([[0.0], C])[k]
+    w_hi = total - L
+    with np.errstate(divide="ignore"):
+        lx = np.log(x)
+    acc = np.zeros(len(x))
+    up = k > 0
+    xu, lxu = x[up], lx[up]
+    q = np.array([math.erfc(v) for v in np.sqrt(xu)]) if a0 == 0.5 \
+        else np.exp(-xu)
+    for i in range(int(a - a0)):
+        q += np.exp((a0 + i) * lxu - xu - math.lgamma(a0 + i + 1.0))
+    acc[up] = L[up] * (1.0 - q)
+    out = np.empty(len(x))
+    idx = np.arange(len(x))
+    # a point whose weights C_j - L are all zero needs no terms
+    done = (k <= 1) & (w_hi == 0.0)
+    B = _SERIES_BLOCK
+    for j0 in range(0, K + 64 + int(20.0 * math.sqrt(K + a + 1.0)), B):
+        if done.any():
+            out[idx[done]] = acc[done]
+            keep = ~done
+            idx, x, lx, k, L, w_hi, acc = (
+                v[keep] for v in (idx, x, lx, k, L, w_hi, acc))
+        if len(idx) == 0:
+            return np.minimum(out, 1.0)
+        j = np.arange(j0, j0 + B)
+        lg = np.array([math.lgamma(a + i + 1.0) for i in range(j0, j0 + B)])
+        t = np.exp(np.multiply.outer(lx, a + j) - x[:, None] - lg)
+        tw = t * (C[np.minimum(j, K)] - L[:, None])
+        for i in range(B):
+            acc += tw[:, i]
+        # stop once all negative terms are in and the tail is negligible
+        r = x / (a + j0 + B)
+        done = (j0 + B + 1 >= k) & ((w_hi == 0.0) | ((r < 1.0) & (
+            t[:, -1] * w_hi * r <= _SERIES_EPS * (1.0 - r) * acc)))
+    raise NumericError(f"Ruben series did not converge at z="
+                       f"{float(2.0 * np.min(lams) * x[0])}")
 
 
 def mixture_cdf(mix: ChiSquareMixture, z):

@@ -138,12 +138,20 @@ class StationarySpec:
 
     def centered(self, law: IncrementLaw, quad_points: int = 4096) -> "StationarySpec":
         """Return a copy whose centering equals the stationary mean of the
-        truncated sum, so E xi_n = 0 (zero/staggered kinds are unchanged)."""
+        truncated sum, so E xi_n = 0 (zero/staggered kinds are unchanged).
+
+        E h(W) is the law's mean for ``identity`` and variance + mean^2
+        for ``square``; any other map is averaged over ``quad_points``
+        midpoint quantiles of the law."""
         if self.kind not in ("instantaneous", "geometric_ma"):
             return self
-        hfun = _resolve_map(self.h)
-        q = (np.arange(quad_points) + 0.5) / quad_points
-        h_mean = float(np.mean(hfun(law.ppf(q))))
+        if self.h == "identity":
+            h_mean = law.mean
+        elif self.h == "square":
+            h_mean = law.variance + law.mean ** 2
+        else:
+            q = (np.arange(quad_points) + 0.5) / quad_points
+            h_mean = float(np.mean(_resolve_map(self.h)(law.ppf(q))))
         if self.kind == "instantaneous":
             return replace(self, centering=h_mean)
         geom = (1.0 - self.beta ** self.truncation_depth) / (1.0 - self.beta)

@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+# numpy loads numpy.random on first attribute access; importing it here
+# puts that cost in the package import instead of the first draw
+import numpy.random
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 import yaml
 
+import renewalsim
 from renewalsim import cli
 from renewalsim.cli import main, run
 from renewalsim.config import ExperimentConfig, build_model, validate_for_kind
@@ -293,3 +297,42 @@ def test_run_thm1_table(tmp_path):
     assert table[0] == ["label", "estimate", "theory", "std_error", "reps",
                         "passed"]
     assert manifest["passed"] == (code == 0)
+
+
+_LIST_SCIPY = """
+import sys
+from renewalsim import cli
+def report():
+    print('loaded:', sorted(m for m in sys.modules
+                            if m.split('.')[0] == 'scipy'))
+report()
+for path in sys.argv[1:]:
+    cli.main(['--config', path])
+    report()
+"""
+
+
+def test_cli_import_and_runs_load_no_scipy(tmp_path, config_file):
+    # the README model's verify-thm3 and verify-thm4, the plain walk's
+    # simulate and example-fwci all run on numpy alone; scipy.stats,
+    # scipy.optimize, scipy.linalg, scipy.sparse, scipy.spatial and
+    # scipy.fft stay out of the import with the rest of scipy
+    staggered = {"kind": "staggered", "arrival_rate": 1.0, "theta": 1.0,
+                 "g": "fixed_width_ci"}
+    docs = [full_config(kind="verify-thm3", model=WALK_MODEL, a=30.0),
+            full_config(kind="verify-thm4", model=WALK_MODEL,
+                        a_grid=[10.0, 20.0]),
+            full_config(),
+            full_config(kind="example-fwci", model=staggered, h=0.5,
+                        c=1.96)]
+    paths = [config_file(dict(doc, out=str(tmp_path / str(i))),
+                         name=f"cfg{i}.yaml") for i, doc in enumerate(docs)]
+    src = os.path.dirname(os.path.dirname(renewalsim.__file__))
+    out = subprocess.run([sys.executable, "-c", _LIST_SCIPY, *paths],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    loaded = [line for line in out.stdout.splitlines()
+              if line.startswith("loaded:")]
+    assert loaded == ["loaded: []"] * (len(paths) + 1)
+    for i, doc in enumerate(docs):
+        assert (tmp_path / str(i) / f"{doc['kind']}.csv").exists()

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -151,6 +148,37 @@ def test_inversion_only_for_mixed_signs_or_past_the_term_cap(monkeypatch):
     assert inverted == [(1.0, -0.5)] * 2 + [(1.0, 0.001)] * 2
 
 
+SERIES_X = np.concatenate([[0.0], np.logspace(-12.0, math.log10(3e3), 4001)])
+
+
+def _gammainc_series(d, coefs, x):
+    """Rows sum_k c_k P(d/2 + k, x), one per coefficient row, summed term
+    by term with scipy's regularized incomplete gamma."""
+    out = np.zeros((len(coefs), len(x)))
+    for k in range(coefs.shape[1]):
+        out += np.outer(coefs[:, k], special.gammainc(0.5 * d + k, x))
+    return out
+
+
+@pytest.mark.parametrize("K", [1, 5, 50, 1300, 4096])
+@pytest.mark.parametrize("d", range(1, 8))
+def test_series_matches_gammainc(d, K):
+    # random coefficients, geometric decay, and all but 1e-12 of the mass
+    # in a bump at 0.8 K (as when most weights are far above the least)
+    k = np.arange(K)
+    coefs = np.array([np.random.default_rng(100 * d + K).random(K),
+                      0.5 ** (k / max(1.0, K / 20.0)),
+                      np.exp(-0.5 * ((k - 0.8 * K) / max(1.0, K / 30.0)) ** 2)
+                      + 1e-12])
+    coefs /= coefs.sum(axis=1, keepdims=True)
+    refs = _gammainc_series(d, coefs, SERIES_X)
+    for c, ref in zip(coefs, refs):
+        # x = z / (2 beta) with beta = 1/2
+        got = mixture._series_cdf(np.full(d, 0.5), c, SERIES_X)
+        assert got[0] == ref[0] == 0.0
+        assert np.max(np.abs(got[1:] - ref[1:]) / ref[1:]) <= 1e-11
+
+
 def _signed_pair_cdf(lam, mu, z):
     """P[lam * X - mu * T^2 <= z] with X ~ chi2_1, T ~ N(0, 1), by quadrature
     over t >= 0 of 2 phi(t) P[X <= (z + mu t^2) / lam]."""
@@ -217,17 +245,6 @@ def test_mixture_validation():
         ChiSquareMixture((1.0, math.nan))
     with pytest.raises(ConfigurationError):
         ChiSquareMixture((1.0,), cdf_tolerance=0.0)
-
-
-def test_cli_import_leaves_out_scipy_optimize_and_linalg():
-    src = os.path.dirname(os.path.dirname(mixture.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, renewalsim.cli; print([m for m in "
-         "('scipy.optimize', 'scipy.linalg', 'scipy.sparse', 'scipy.spatial', "
-         "'scipy.fft') if m in sys.modules])"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
 
 
 def test_gauss_legendre_nodes_match_scipy():

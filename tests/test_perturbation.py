@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +51,47 @@ def test_centered_removes_the_mean():
     sd = spec.xi_sd_analytic(law)
     # xi is a moving average: correlation inflates the SE by (1+b)/(1-b)
     assert abs(xi.mean()) <= 4.0 * sd * math.sqrt(3.0 / n)
+
+
+CENTERING_LAWS = [
+    (IncrementLaw.exponential(2.0), stats.expon(scale=0.5)),
+    (IncrementLaw.gamma(3.0, 2.0), stats.gamma(3.0, scale=0.5)),
+    (IncrementLaw.normal(1.5, 0.7), stats.norm(1.5, 0.7)),
+    (IncrementLaw.uniform(0.2, 2.0), stats.uniform(0.2, 1.8)),
+]
+
+
+@pytest.mark.parametrize("law, dist", CENTERING_LAWS,
+                         ids=[l.kind for l, _ in CENTERING_LAWS])
+@pytest.mark.parametrize("h", ["identity", "square"])
+def test_centered_is_exact_for_identity_and_square(law, dist, h,
+                                                   monkeypatch):
+    # E h(W) by adaptive quadrature against the density
+    f = {"identity": lambda w: w, "square": lambda w: w * w}[h]
+    lo, hi = dist.support()
+    ref = integrate.quad(lambda w: f(w) * dist.pdf(w), lo, hi,
+                         epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+    calls = []
+    monkeypatch.setattr(IncrementLaw, "ppf",
+                        lambda self, q: calls.append(q) or np.asarray(q))
+    inst = StationarySpec.instantaneous(h).centered(law)
+    geo = StationarySpec.geometric_ma(h, 0.5, truncation_depth=5) \
+        .centered(law)
+    assert abs(inst.centering - ref) <= 1e-10
+    assert abs(geo.centering - ref * (1.0 - 0.5 ** 5) / 0.5) <= 1e-10
+    assert calls == []
+
+
+def test_centered_integrates_other_maps_over_the_quantiles(monkeypatch):
+    law = IncrementLaw.exponential(1.0)
+    calls = []
+    ppf = IncrementLaw.ppf
+    monkeypatch.setattr(IncrementLaw, "ppf",
+                        lambda self, q: calls.append(len(q)) or ppf(self, q))
+    spec = StationarySpec.instantaneous("abs").centered(law, quad_points=512)
+    q = (np.arange(512) + 0.5) / 512
+    assert calls == [512]
+    assert spec.centering == float(np.mean(np.abs(ppf(law, q))))
 
 
 def test_xi_path_matches_pointwise_oracle():
