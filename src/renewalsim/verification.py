@@ -141,6 +141,14 @@ def sup_distance(cdf_at_sorted: np.ndarray) -> float:
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of a NaN-free 1-d sample, the same float: np.median's NaN
+    check imports numpy.ma, ~15 ms in the run phase of a fresh process."""
+    s = np.sort(x)
+    n = len(s)
+    return 0.5 * (s[(n - 1) // 2] + s[n // 2])
+
+
 def _envelope_offset(model: PerturbedWalkModel) -> Optional[float]:
     """Constant c with Z_k >= S_n + c for all k >= n (when derivable).
 
@@ -327,8 +335,8 @@ def theorem3_experiment(model: PerturbedWalkModel, a: float, reps: int,
     reports.append(TheoremReport("corr(zeta, xi)", c_zx, 0.0,
                                  1.0 / math.sqrt(n), n))
     if np.std(zeta) > 0 and np.std(R) > 0:
-        az = zeta > np.median(zeta)
-        ar = R > np.median(R)
+        az = zeta > _median(zeta)
+        ar = R > _median(R)
         table = np.array([[np.sum(az & ar), np.sum(az & ~ar)],
                           [np.sum(~az & ar), np.sum(~az & ~ar)]], dtype=float)
         exp = table.sum(1, keepdims=True) @ table.sum(0, keepdims=True) \

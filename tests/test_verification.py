@@ -14,7 +14,7 @@ from renewalsim import (
 )
 from renewalsim.errors import ConfigurationError, ContractViolationError
 from renewalsim.verification import (
-    WindowBounds, lemma1_collect, lemma3_collect, sup_distance,
+    WindowBounds, _median, lemma1_collect, lemma3_collect, sup_distance,
     theorem1_counts,
 )
 
@@ -99,6 +99,13 @@ def test_theorem1_warns_when_b_exceeds_drift(plain_exp_model):
         theorem1_experiment(plain_exp_model, EventPredicate.always_true(),
                             y=math.inf, a=20.0, b=1.8, reps=50,
                             stream=RngStream(22))
+
+
+def test_median_is_numpy_median():
+    gen = RngStream(6).generator()
+    for n in (1, 2, 3, 4, 999, 1000):
+        x = gen.standard_normal(n) * gen.lognormal(0.0, 3.0, n)
+        assert _median(x) == np.median(x)
 
 
 def test_sup_distance_is_two_sided():
