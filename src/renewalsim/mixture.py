@@ -344,13 +344,15 @@ def _series_cdf(lams: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     With t_j = x^(a+j) e^-x / Gamma(a+j+1), P(a+k, x) = sum_{j>=k} t_j, so
     the sum is sum_j t_j C_j with C_j = c_0 + ... + c_min(j,K).  For any
     constant L it equals L P(a, x) + sum_j t_j (C_j - L); each point takes
-    L = C_{k-1}, k the first index with a + k >= x (L = 0 when x <= a).
-    The terms j < k - 1 are then the only negative ones, and they add up
-    to at most L (P(a, x) - P(a+k-1, x)) while the result is at least
+    L = C_{k-1}, k the first index with a + k >= x (L = 0 when x <= a,
+    except for d <= 2, where k >= 1).  The terms j < k - 1 are then the
+    only negative ones, and they add up to at most
+    L (P(a, x) - P(a+k-1, x)) while the result is at least
     L P(a+k-1, x) >= L / 2, so nothing cancels badly whatever the shape of
-    c.  P(a, x) = 1 - Q(a, x) comes from Q(1/2, x) = erfc(sqrt x) or
-    Q(1, x) = e^-x and upward steps of t-terms; each t_j is exp of its
-    logarithm.  A point stops once the tail bound of its remaining terms,
+    c.  For d <= 2, P(a, x) is erf(sqrt x) or 1 - e^-x; otherwise it is
+    1 - Q(a, x), from Q(1/2, x) = erfc(sqrt x) or Q(1, x) = e^-x and
+    upward steps of t-terms, which only points with x > a use.  Each t_j
+    is exp of its logarithm.  A point stops once the tail bound of its remaining terms,
     past their peak, is below 2^-54 of its running sum.  Every step is
     elementwise, so each point's value does not depend on which other
     points share the call.
@@ -361,7 +363,11 @@ def _series_cdf(lams: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     K = len(c) - 1
     C = np.cumsum(c)
     total = float(C[-1])
-    k = np.minimum(np.maximum(np.ceil(x - a), 0.0), K + 1.0).astype(np.intp)
+    # for d <= 2, P(a, x) = erf(sqrt x) or -expm1(-x) is accurate at every
+    # x, so every point may take k >= 1
+    direct = a == a0
+    k = np.minimum(np.maximum(np.ceil(x - a), float(direct)),
+                   K + 1.0).astype(np.intp)
     L = np.concatenate([[0.0], C])[k]
     w_hi = total - L
     with np.errstate(divide="ignore"):
@@ -369,11 +375,16 @@ def _series_cdf(lams: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     acc = np.zeros(len(x))
     up = k > 0
     xu, lxu = x[up], lx[up]
-    q = np.array([math.erfc(v) for v in np.sqrt(xu)]) if a0 == 0.5 \
-        else np.exp(-xu)
-    for i in range(int(a - a0)):
-        q += np.exp((a0 + i) * lxu - xu - math.lgamma(a0 + i + 1.0))
-    acc[up] = L[up] * (1.0 - q)
+    if direct:
+        p = np.array([math.erf(v) for v in np.sqrt(xu)]) if a0 == 0.5 \
+            else -np.expm1(-xu)
+    else:
+        q = np.array([math.erfc(v) for v in np.sqrt(xu)]) if a0 == 0.5 \
+            else np.exp(-xu)
+        for i in range(int(a - a0)):
+            q += np.exp((a0 + i) * lxu - xu - math.lgamma(a0 + i + 1.0))
+        p = 1.0 - q
+    acc[up] = L[up] * p
     out = np.empty(len(x))
     idx = np.arange(len(x))
     # a point whose weights C_j - L are all zero needs no terms
