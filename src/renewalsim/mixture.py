@@ -16,13 +16,13 @@ weights, never on the evaluation points:
   which is computed before any point is evaluated.  The truncated sum
   is then evaluated over all points at once from the Poisson-type terms
   x^(a+j) e^-x / Gamma(a+j+1) of the incomplete gamma function, with
-  ``math.erfc`` or ``exp`` as the base (see ``_series_cdf``), to about
-  1e-12 relative.  The series is accurate at every z, including z -> 0,
-  where the inversion below misses its tolerance.  Weights of one
-  negative sign use the reflection F(z) = 1 - F_{-lambda}(-z).  Widely
-  spread weights need many terms (about 13 * max/min at the default
-  tolerance); past ``_MAX_TERMS``, a spread of about 300, the series is
-  left to the inversion.
+  ``math.erf``/``erfc`` or ``expm1``/``exp`` as the base (see
+  ``_series_cdf``), to about 1e-12 relative.  The series is accurate at
+  every z, including z -> 0, where the inversion below misses its
+  tolerance.  Weights of one negative sign use the reflection
+  F(z) = 1 - F_{-lambda}(-z).  Widely spread weights need many terms
+  (about 13 * max/min at the default tolerance); past ``_MAX_TERMS``,
+  a spread of about 300, the series is left to the inversion.
 * Mixed signs: the series has no nonnegative form and so no such error
   bound, so the CDF is found point by point by numerical inversion of
   the characteristic function prod_j (1 - 2 i lambda_j t)^{-1/2}
@@ -352,10 +352,10 @@ def _series_cdf(lams: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     c.  For d <= 2, P(a, x) is erf(sqrt x) or 1 - e^-x; otherwise it is
     1 - Q(a, x), from Q(1/2, x) = erfc(sqrt x) or Q(1, x) = e^-x and
     upward steps of t-terms, which only points with x > a use.  Each t_j
-    is exp of its logarithm.  A point stops once the tail bound of its remaining terms,
-    past their peak, is below 2^-54 of its running sum.  Every step is
-    elementwise, so each point's value does not depend on which other
-    points share the call.
+    is exp of its logarithm.  A point stops once the tail bound of its
+    remaining terms, past their peak, is below 2^-54 of its running sum.
+    Every step is elementwise, so each point's value does not depend on
+    which other points share the call.
     """
     x = np.maximum(z, 0.0) / (2.0 * float(np.min(lams)))
     a = 0.5 * len(lams)
@@ -363,9 +363,7 @@ def _series_cdf(lams: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
     K = len(c) - 1
     C = np.cumsum(c)
     total = float(C[-1])
-    # for d <= 2, P(a, x) = erf(sqrt x) or -expm1(-x) is accurate at every
-    # x, so every point may take k >= 1
-    direct = a == a0
+    direct = a == a0  # d <= 2: P(a, x) is accurate from erf or expm1 alone
     k = np.minimum(np.maximum(np.ceil(x - a), float(direct)),
                    K + 1.0).astype(np.intp)
     L = np.concatenate([[0.0], C])[k]
