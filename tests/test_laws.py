@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import renewalsim
 from renewalsim import IncrementLaw, RngStream, VectorLaw
 from renewalsim.errors import ConfigurationError
 from renewalsim.laws import CovarianceEstimate
@@ -54,6 +58,16 @@ def test_ppf_equals_scipy_stats(law):
                                                 scale=p[1] - p[0]),
            }[law.kind]()
     assert np.array_equal(law.ppf(q), ref)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = os.path.dirname(os.path.dirname(renewalsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, renewalsim.cli; "
+         "print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_exponential_quantities():

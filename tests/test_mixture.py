@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -245,6 +248,17 @@ def test_mixture_validation():
         ChiSquareMixture((1.0, math.nan))
     with pytest.raises(ConfigurationError):
         ChiSquareMixture((1.0,), cdf_tolerance=0.0)
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_linalg():
+    src = os.path.dirname(os.path.dirname(mixture.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, renewalsim.cli; print([m for m in "
+         "('scipy.optimize', 'scipy.linalg', 'scipy.sparse', 'scipy.spatial', "
+         "'scipy.fft') if m in sys.modules])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_gauss_legendre_nodes_match_scipy():
