@@ -28,7 +28,7 @@ from .config import ExperimentConfig, build_model, validate_for_kind
 from .errors import RenewalSimError
 from .first_passage import estimate_rho_nu, summarize_levels
 from .mixture import mixture_quantile
-from .parallel import raise_again
+from .parallel import raise_again, shared_pool
 from .rng import RngStream
 from .staggered import (calibrate_lrt_boundary, example1_run, example2_run,
                         staggered_constants)
@@ -245,7 +245,8 @@ def run(cfg: ExperimentConfig) -> int:
     under cfg.out.  Returns the process exit code."""
     validate_for_kind(cfg)
     started = time.monotonic()
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, \
+            shared_pool(cfg.workers):
         warnings.simplefilter("always")
         out = _RUNNERS[cfg.kind](cfg, build_model(cfg), RngStream(cfg.seed))
     raise_again(caught)

@@ -122,16 +122,21 @@ class PerturbedWalkModel:
         return abs(float(np.mean(xi))) + 10.0 * float(np.std(xi))
 
 
-def _chunked_cumsum(x: np.ndarray) -> np.ndarray:
-    """Partial sums along axis 1, per 256-step chunk plus the carried
-    total of the chunks before: a path's own order of additions."""
+def _partial_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Partial sums of ``x`` along axis 1, written into ``out`` (which may
+    be ``x``): per 256-step chunk plus the carried total of the chunks
+    before, a path's own order of additions at any row length."""
     rows, L = x.shape[:2]
-    padded = np.zeros((rows, -(-L // _CHUNK) * _CHUNK) + x.shape[2:])
-    padded[:, :L] = x
-    sums = padded.reshape((rows, -1, _CHUNK) + x.shape[2:])
-    np.cumsum(sums, axis=2, out=sums)
-    sums[:, 1:] += np.cumsum(sums[:, :-1, -1], axis=1)[:, :, None]
-    return padded[:, :L]
+    full = L - L % _CHUNK
+    chunks = lambda y: y[:, :full].reshape((rows, -1, _CHUNK) + y.shape[2:])
+    sums = chunks(out)
+    np.cumsum(chunks(x), axis=2, out=sums)
+    np.cumsum(x[:, full:], axis=1, out=out[:, full:])
+    if full:
+        carry = np.cumsum(sums[:, :, -1], axis=1)
+        sums[:, 1:] += carry[:, :-1, None]
+        out[:, full:] += carry[:, -1:]
+    return out
 
 
 def _sub_batches(reps: int, length: int, limit: int, extra: int, width: int,
@@ -159,7 +164,10 @@ def _sub_batches(reps: int, length: int, limit: int, extra: int, width: int,
 
 @dataclass(frozen=True)
 class PathBlock:
-    """Paths up to index L: column j is index j + 1 (W: W_{1-D}..W_L)."""
+    """Paths up to index L: column j is index j + 1 (W: W_{1-D}..W_L).
+
+    A term the model lacks (xi, zeta) is a read-only broadcast zero and
+    is not added, so Z is S itself for the plain walk."""
 
     W: np.ndarray
     S: np.ndarray
@@ -174,31 +182,42 @@ class PathBlock:
 
 
 def _simulate_block(model: PerturbedWalkModel, keys: ReplicationGenerators,
-                    reps: np.ndarray, L: int) -> PathBlock:
-    """Paths of replications ``reps`` (stream indices) up to index L."""
+                    reps: np.ndarray, L: int, work: np.ndarray) -> PathBlock:
+    """Paths of replications ``reps`` (stream indices) up to index L.
+
+    W and S are views of ``work``, which must hold both; the next block
+    overwrites them."""
     law, D, vl = model.increment_law, model.stationary.depth, model.vector_law
-    W = np.empty((len(reps), D + L))
+    rows, size = len(reps), len(reps) * (D + L)
+    W = work[:size].reshape(rows, D + L)
     gaussian = vl is not None and vl.kind == "gaussian"
-    Y = np.empty((len(reps), L, vl.d)) if gaussian else None
+    Y = np.empty((rows, L, vl.d)) if gaussian else None
     for i, r in enumerate(reps):
         gen = keys.generator(r)
         if not gaussian:
-            W[i] = law.sample(gen, D + L)
+            law.sample(gen, D + L, out=W[i])
             continue
-        W[i, :D] = law.sample(gen, D)
+        law.sample(gen, D, out=W[i, :D])
         for lo in range(0, L, _CHUNK):  # normals drawn after each chunk
-            w = law.sample(gen, min(_CHUNK, L - lo))
-            W[i, D + lo:D + lo + _CHUNK] = w
+            w = W[i, D + lo:D + lo + _CHUNK]
+            law.sample(gen, len(w), out=w)
             Y[i, lo:lo + _CHUNK] = vl.materialize(w, gen)
-    S = _chunked_cumsum(W[:, D:])
-    T = None if vl is None else _chunked_cumsum(
-        Y if gaussian else vl.materialize(W[:, D:], None))
-    zeta = np.zeros_like(S) if model.quadratic is None else \
+    S = _partial_sums(W[:, D:], work[size:size + rows * L].reshape(rows, L))
+    if vl is not None and not gaussian:
+        Y = vl.materialize(W[:, D:], None)
+    T = None if Y is None else _partial_sums(Y, Y)
+    zero = np.broadcast_to(0.0, S.shape)
+    xi = zero if model.stationary.kind == "zero" else \
+        model.stationary.xi_path(W, L)
+    zeta = zero if model.quadratic is None else \
         zeta_quadratic_path(T, model.quadratic)
     if model.residual.kind != "zero":
         zeta = zeta + model.residual.value
-    xi = model.stationary.xi_path(W, L)
-    return PathBlock(W, S, T, xi, zeta, S + xi + zeta)
+    Z = S
+    for term in (xi, zeta):  # Z = (S + xi) + zeta, absent terms skipped
+        if term is not zero:
+            Z = S + term if Z is S else np.add(Z, term, out=Z)
+    return PathBlock(W, S, T, xi, zeta, Z)
 
 
 def block_length(model: PerturbedWalkModel, level: float) -> int:
@@ -216,14 +235,21 @@ def forward_kernel(model: PerturbedWalkModel, stream: RngStream, reps: int,
     """Statistics (reps, width) of replications rep_offset.. of
     ``stream``: ``reduce(block, final)`` gives (done, values) per path of
     a sub-batch simulated to index ``length`` or more; at the horizon
-    ``final`` is True and every row must be done."""
+    ``final`` is True and every row must be done.  The block's arrays are
+    reused for the next sub-batch, so the values must not be views of
+    them."""
     if model.vector_law is not None and model.vector_law.kind == "gaussian":
         length = -(-length // _CHUNK) * _CHUNK  # keep the normals' layout
     keys = ReplicationGenerators(stream)
+    D = model.stationary.depth
+    # W and S of every sub-batch.  The allocator returns freed arrays of
+    # this size to the system, so fresh ones would be fresh pages each
+    # sub-batch, and faulting those in cost about as much as the draws
+    work = np.empty(2 * max(_BLOCK_ELEMENTS, D + horizon))
     return _sub_batches(
-        reps, length, horizon, model.stationary.depth, width,
+        reps, length, horizon, D, width,
         lambda idx, L: reduce(_simulate_block(model, keys, rep_offset + idx,
-                                              L), L >= horizon))
+                                              L, work), L >= horizon))
 
 
 @dataclass(frozen=True)
@@ -256,10 +282,12 @@ def _passage_stats(model: PerturbedWalkModel, a: float, block: PathBlock,
                    final: bool) -> Tuple[np.ndarray, np.ndarray]:
     """(t_a, R_a, xi, zeta, crossed) per row; an uncrossed row is done at
     the horizon, with t_a the horizon and NaN values."""
-    eligible = (block.Z > a) & (block.n >= model.n0)
-    crossed = eligible.any(axis=1)
+    eligible = block.Z > a
+    if model.n0 > 1:
+        eligible &= block.n >= model.n0
     j = eligible.argmax(axis=1)
     rows = np.arange(len(j))
+    crossed = eligible[rows, j]
     at = lambda x: np.where(crossed, x[rows, j], math.nan)
     t = np.where(crossed, j + 1, block.S.shape[1])
     return crossed | final, np.column_stack(

@@ -178,21 +178,35 @@ class IncrementLaw:
 
     # -- sampling / quantiles -----------------------------------------
 
-    def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, gen: np.random.Generator, n: int,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+        """n draws, written into ``out`` (a contiguous float64 array of n
+        values) when given.  Each family scales standard variates as
+        ``gen.exponential``, ``gamma``, ``normal`` and ``uniform`` do, so
+        both forms give the same bits and leave ``gen`` at the same state."""
         k, p = self.kind, self.params
         if n < 0:
             raise ConfigurationError("n must be >= 0", "sample.n")
+        out = np.empty(n) if out is None else out
         if k == "exponential":
-            return gen.exponential(1.0 / p[0], size=n)
-        if k == "gamma":
-            return gen.gamma(p[0], 1.0 / p[1], size=n)
-        if k == "normal":
-            return gen.normal(p[0], p[1], size=n)
-        if k == "uniform":
-            return gen.uniform(p[0], p[1], size=n)
-        if k == "deterministic":
-            return np.full(n, p[0])
-        return self.ppf(gen.random(n))
+            gen.standard_exponential(out=out)
+            out *= 1.0 / p[0]
+        elif k == "gamma":
+            gen.standard_gamma(p[0], out=out)
+            out *= 1.0 / p[1]
+        elif k == "normal":
+            gen.standard_normal(out=out)
+            out *= p[1]
+            out += p[0]
+        elif k == "uniform":
+            gen.random(out=out)
+            out *= p[1] - p[0]
+            out += p[0]
+        elif k == "deterministic":
+            out[...] = p[0]
+        else:
+            out[...] = self.ppf(gen.random(n))
+        return out
 
     def ppf(self, q) -> np.ndarray:
         k, p = self.kind, self.params

@@ -5,15 +5,22 @@ Replication ``r`` of every collector draws only from the stream key
 replications and the chunks run anywhere, in any order.  The chunks have
 a fixed size, so the worker count changes wall time, never results, and
 never the warnings a run raises.
+
+A process pool, and the ``multiprocessing`` import under it, is started
+only when a map has more than one chunk and more than one worker.  Inside
+``shared_pool`` every such map uses the same pool, so a run pays for one.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List
+from contextlib import contextmanager
+from typing import Callable, Iterator, List
 
 CHUNK_REPS = 1024
+
+_workers = 0   # pool size of the open shared_pool block, 0 outside one
+_pool = None   # that block's pool, once started
 
 
 def raise_again(caught: List[warnings.WarningMessage]) -> None:
@@ -33,21 +40,45 @@ def _run_chunk(fn: Callable, count: int, offset: int):
     return part, caught
 
 
+@contextmanager
+def shared_pool(workers: int) -> Iterator[None]:
+    """Within the block, every map_replications call that runs chunks in
+    processes uses one pool of ``workers`` processes, started at the first
+    such call and shut down when the block exits.  A nested block uses the
+    outer block's pool."""
+    global _workers, _pool
+    if _workers:
+        yield
+        return
+    _workers = workers
+    try:
+        yield
+    finally:
+        pool, _workers, _pool = _pool, 0, None
+        if pool is not None:
+            pool.shutdown()
+
+
 def map_replications(fn: Callable, reps: int, workers: int = 1) -> List:
     """Call ``fn(reps=count, rep_offset=offset)`` on consecutive chunks of
     CHUNK_REPS replications and return the parts in offset order.
 
     With ``workers > 1`` and more than one chunk, the chunks run in a
-    process pool, so ``fn`` and its bound arguments must pickle.  The
-    warnings of each chunk are raised again here, in chunk order.
+    process pool, the open ``shared_pool`` block's or one of this call's
+    own, so ``fn`` and its bound arguments must pickle.  The warnings of
+    each chunk are raised again here, in chunk order.
     """
+    global _pool
     offsets = range(0, reps, CHUNK_REPS)
     counts = [min(CHUNK_REPS, reps - off) for off in offsets]
     if workers <= 1 or len(counts) <= 1:
         done = [_run_chunk(fn, c, o) for c, o in zip(counts, offsets)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_chunk, [fn] * len(counts), counts,
-                                 offsets))
+        with shared_pool(workers):
+            if _pool is None:
+                from concurrent.futures import ProcessPoolExecutor
+                _pool = ProcessPoolExecutor(max_workers=_workers)
+            done = list(_pool.map(_run_chunk, [fn] * len(counts), counts,
+                                  offsets))
     raise_again([w for _, caught in done for w in caught])
     return [part for part, _ in done]

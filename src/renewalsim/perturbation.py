@@ -177,8 +177,10 @@ class StationarySpec:
         if self.kind == "instantaneous":
             return _resolve_map(self.h)(w_ext[..., D:D + n]) - self.centering
         kernel = self.beta ** np.arange(D)
-        return _per_path(lambda hw: np.convolve(hw, kernel, "valid")[1:],
-                         _resolve_map(self.h)(w_ext), n) - self.centering
+        xi = _per_path(lambda hw: np.convolve(hw, kernel, "valid")[1:],
+                       _resolve_map(self.h)(w_ext), n)
+        xi -= self.centering
+        return xi
 
     def xi_backward(self, w_back: np.ndarray) -> np.ndarray:
         """xi_0, xi_{-1}, ..., from backward-ordered rows W_0, W_{-1}, ...
@@ -308,9 +310,9 @@ def zeta_quadratic_path(vector_sums: np.ndarray, spec: QuadraticSpec,
     T = np.atleast_2d(np.asarray(vector_sums, dtype=float))
     if T.shape[-1] != spec.d:
         raise ConfigurationError("vector dimension mismatch", "zeta.path")
-    quad = np.einsum("...i,ij,...j->...", T, spec.Q, T)
-    n = np.arange(1, T.shape[-2] + 1, dtype=float)
-    return quad[..., n0 - 1:] / n[n0 - 1:]
+    quad = np.einsum("...i,ij,...j->...", T, spec.Q, T)[..., n0 - 1:]
+    quad /= np.arange(n0, T.shape[-2] + 1, dtype=float)
+    return quad
 
 
 def zeta_window_path(vector_sums: np.ndarray, m: int, n_lo: int, n_hi: int,

@@ -610,6 +610,22 @@ def calibrate_lrt_maxima(arrival_rate: float, horizon: int, reps: int,
     return maxima
 
 
+def _quantile(x: np.ndarray, q: float) -> float:
+    """np.quantile(x, q) of a NaN-free 1-d sample, the same float by
+    numpy's default linear method, from a sort: np.quantile imports
+    numpy.ma, ~15 ms in the run phase of a fresh process."""
+    s = np.sort(x)
+    v = (len(s) - 1) * q
+    if v >= len(s) - 1:
+        return float(s[-1])
+    j = math.floor(v)
+    t = v - j
+    lo, hi = s[j], s[j + 1]
+    d = hi - lo
+    # numpy's lerp: from the upper neighbour once t >= 1/2
+    return float(hi - d * (1 - t) if t >= 0.5 else lo + d * t)
+
+
 def calibrate_lrt_boundary(arrival_rate: float, horizon: int, reps: int,
                            stream: RngStream, level: float = 0.05,
                            n0: int = 1, workers: int = 1) -> float:
@@ -625,4 +641,4 @@ def calibrate_lrt_boundary(arrival_rate: float, horizon: int, reps: int,
     maxima = np.concatenate(map_replications(
         partial(calibrate_lrt_maxima, arrival_rate, horizon, stream=calib,
                 n0=n0), reps, workers))
-    return float(np.quantile(maxima, 1.0 - level))
+    return _quantile(maxima, 1.0 - level)

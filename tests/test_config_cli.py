@@ -299,17 +299,37 @@ def test_run_thm1_table(tmp_path):
     assert manifest["passed"] == (code == 0)
 
 
-_LIST_SCIPY = """
+_LIST_LOADED = """
 import sys
+roots = sys.argv[1].split(',')
 from renewalsim import cli
 def report():
-    print('loaded:', sorted(m for m in sys.modules
-                            if m.split('.')[0] == 'scipy'))
+    print('loaded:', sorted(m for m in sys.modules if any(
+        m == r or m.startswith(r + '.') for r in roots)))
 report()
-for path in sys.argv[1:]:
+for path in sys.argv[2:]:
     cli.main(['--config', path])
     report()
 """
+
+STAGGERED_FWCI = {"kind": "staggered", "arrival_rate": 1.0, "theta": 1.0,
+                  "g": "fixed_width_ci"}
+
+
+def _loaded_by_runs(tmp_path, config_file, roots, docs):
+    """One 'loaded:' line per state of a fresh process: after importing
+    the CLI, then after each run; each lists the modules under ``roots``."""
+    paths = [config_file(dict(doc, out=str(tmp_path / str(i))),
+                         name=f"cfg{i}.yaml") for i, doc in enumerate(docs)]
+    src = os.path.dirname(os.path.dirname(renewalsim.__file__))
+    out = subprocess.run([sys.executable, "-c", _LIST_LOADED,
+                          ",".join(roots), *paths],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    for i, doc in enumerate(docs):
+        assert (tmp_path / str(i) / f"{doc['kind']}.csv").exists()
+    return [line for line in out.stdout.splitlines()
+            if line.startswith("loaded:")]
 
 
 def test_cli_import_and_runs_load_no_scipy(tmp_path, config_file):
@@ -317,22 +337,57 @@ def test_cli_import_and_runs_load_no_scipy(tmp_path, config_file):
     # simulate and example-fwci all run on numpy alone; scipy.stats,
     # scipy.optimize, scipy.linalg, scipy.sparse, scipy.spatial and
     # scipy.fft stay out of the import with the rest of scipy
-    staggered = {"kind": "staggered", "arrival_rate": 1.0, "theta": 1.0,
-                 "g": "fixed_width_ci"}
     docs = [full_config(kind="verify-thm3", model=WALK_MODEL, a=30.0),
             full_config(kind="verify-thm4", model=WALK_MODEL,
                         a_grid=[10.0, 20.0]),
             full_config(),
-            full_config(kind="example-fwci", model=staggered, h=0.5,
+            full_config(kind="example-fwci", model=STAGGERED_FWCI, h=0.5,
                         c=1.96)]
-    paths = [config_file(dict(doc, out=str(tmp_path / str(i))),
-                         name=f"cfg{i}.yaml") for i, doc in enumerate(docs)]
-    src = os.path.dirname(os.path.dirname(renewalsim.__file__))
-    out = subprocess.run([sys.executable, "-c", _LIST_SCIPY, *paths],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True)
-    loaded = [line for line in out.stdout.splitlines()
-              if line.startswith("loaded:")]
-    assert loaded == ["loaded: []"] * (len(paths) + 1)
-    for i, doc in enumerate(docs):
-        assert (tmp_path / str(i) / f"{doc['kind']}.csv").exists()
+    loaded = _loaded_by_runs(tmp_path, config_file, ["scipy"], docs)
+    assert loaded == ["loaded: []"] * (len(docs) + 1)
+
+
+def test_cli_import_and_one_worker_runs_load_no_pool_or_numpy_ma(
+        tmp_path, config_file):
+    # a process pool loads multiprocessing only when one starts, and the
+    # sample statistics sort instead of calling np.median or np.quantile,
+    # which import numpy.ma
+    lrt = {"kind": "staggered", "arrival_rate": 1.0, "theta": 2.0,
+           "g": "repeated_lrt"}
+    docs = [full_config(kind="verify-thm4", model=WALK_MODEL,
+                        a_grid=[10.0, 20.0]),
+            full_config(kind="verify-thm3", model=WALK_MODEL, a=30.0),
+            full_config(),
+            full_config(kind="example-fwci", model=STAGGERED_FWCI, h=0.5,
+                        c=1.96),
+            full_config(kind="example-rst", model=lrt, horizon=30,
+                        calibration_reps=200)]
+    loaded = _loaded_by_runs(tmp_path, config_file,
+                             ["multiprocessing", "numpy.ma"], docs)
+    assert loaded == ["loaded: []"] * (len(docs) + 1)
+
+
+def test_cli_run_starts_one_pool(tmp_path, config_file, monkeypatch):
+    # two levels of two chunks each, 2 workers: one pool for the whole run,
+    # and the same CSV and manifest as at 1 worker
+    import concurrent.futures
+
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    path = config_file(full_config(reps=2100, a_grid=[4.0, 9.0]))
+    results = []
+    for w in (1, 2):
+        out = tmp_path / f"w{w}"
+        assert main(["--config", path, "--out", str(out),
+                     "--workers", str(w)]) == 0
+        table, manifest = read_results(out, "simulate")
+        manifest.pop("wall_time_seconds")
+        results.append((table, manifest))
+        assert started == [2] * (w - 1)
+    assert results[0] == results[1]

@@ -90,6 +90,30 @@ def test_window_predicate_matches_reference(tm1_model):
         for r in range(40)])
 
 
+def test_lean_paths_equal_general_paths(plain_exp_model):
+    # a model without xi or zeta gets Z = S, and one without zeta gets
+    # Z = S + xi; a constant residual of 0 adds the zero term back, and
+    # every statistic keeps its bits
+    abs_xi = PerturbedWalkModel(
+        EXP1, stationary=StationarySpec.instantaneous("abs").centered(EXP1))
+    B = EventPredicate.xi_leq(0.3)
+    W1 = EventPredicate("W_n > 1", 1, lambda w, xi: w[:, 0] > 1.0)
+    for lean, a in ((plain_exp_model, 300.0), (abs_xi, 40.0)):
+        general = PerturbedWalkModel(
+            lean.increment_law, stationary=lean.stationary,
+            residual=ResidualSpec.constant(0.0))
+        for collect in (
+                lambda m: collect_passage(m, a, 300, STREAM, 7),
+                lambda m: theorem1_counts(m, B, 0.0, a, 2.0, 300, STREAM, 7),
+                lambda m: theorem1_counts(m, W1, 0.0, a, 2.0, 300, STREAM),
+                lambda m: lemma1_collect(m, 0.4, a, 300, STREAM, 7)):
+            new, ref = collect(lean), collect(general)
+            if isinstance(new, PassageSamples):
+                new, ref = (np.column_stack([
+                    s.t, s.R, s.xi, s.zeta, s.crossed]) for s in (new, ref))
+            assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+
+
 def _same_backward(batch, ref):
     _close(batch.inf_value, ref[:, 0])
     _close(batch.xi0, ref[:, 1])

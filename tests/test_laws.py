@@ -36,6 +36,37 @@ def test_sample_moments_match_analytic(law):
         assert np.all(x == law.mean)
 
 
+def _numpy_draws(law, gen, n):
+    """The draws of numpy's own samplers for the law's family."""
+    p = law.params
+    return {"exponential": lambda: gen.exponential(1.0 / p[0], n),
+            "gamma": lambda: gen.gamma(p[0], 1.0 / p[1], n),
+            "normal": lambda: gen.normal(p[0], p[1], n),
+            "uniform": lambda: gen.uniform(p[0], p[1], n),
+            "deterministic": lambda: np.full(n, p[0]),
+            "quantile_table": lambda: law.ppf(gen.random(n)),
+            }[law.kind]()
+
+
+@pytest.mark.parametrize("law", LAWS + [IncrementLaw.gamma(0.4, 3.0)],
+                         ids=lambda l: f"{l.kind}{l.params[0]}")
+def test_sample_into_buffer_is_numpys_draws(law):
+    # the same bits fresh or written into a row of a larger buffer, and
+    # the generator ends at the same state either way
+    stream = RngStream(316, 4, 2)
+    gen = stream.generator()
+    ref, ref_next = _numpy_draws(law, gen, 999), gen.random()
+    gen = stream.generator()
+    fresh, fresh_next = law.sample(gen, 999), gen.random()
+    buf = np.full((3, 1001), np.nan)
+    gen = stream.generator()
+    law.sample(gen, 999, out=buf[1, 2:])
+    assert np.array_equal(fresh.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(buf[1, 2:].view(np.int64), ref.view(np.int64))
+    assert fresh_next == ref_next == gen.random()
+    assert np.isnan(buf[1, :2]).all() and np.isnan(buf[[0, 2]]).all()
+
+
 @pytest.mark.parametrize("law", LAWS, ids=lambda l: l.kind)
 def test_ppf_monotone_and_supported(law):
     q = np.linspace(0.01, 0.99, 25)

@@ -14,7 +14,7 @@ from renewalsim.errors import (
     ConfigurationError, ContractViolationError, StatisticUndefinedError,
 )
 from renewalsim.staggered import (
-    calibrate_lrt_maxima, example1_collect, example2_collect,
+    _quantile, calibrate_lrt_maxima, example1_collect, example2_collect,
     staggered_backward_batch,
 )
 
@@ -352,6 +352,18 @@ def test_example2_rejects_wrong_statistic(fwci_model):
     with pytest.raises(ConfigurationError):
         example2_run(fwci_model, a=3.0, reps=10, horizon=50,
                      stream=RngStream(1))
+
+
+def test_quantile_is_numpy_quantile():
+    # numpy's linear method, including its lerp from the upper neighbour
+    # at a fractional index of 1/2 or more, on random and edge levels
+    gen = RngStream(46).generator()
+    levels = np.concatenate([gen.random(40), [0.0, 0.5, 0.95, 1.0 - 1e-12,
+                                              1.0]])
+    for n in (1, 2, 3, 4, 999, 1000):
+        x = gen.standard_normal(n) * gen.lognormal(0.0, 3.0, n)
+        for q in levels:
+            assert _quantile(x, q) == np.quantile(x, q)
 
 
 def test_lrt_calibration_quantile():
