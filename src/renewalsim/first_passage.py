@@ -118,7 +118,7 @@ class PerturbedWalkModel:
         gen = base.with_stream(base.stream_id + 101).generator()
         D = max(self.stationary.depth, 1)
         w = self.increment_law.sample(gen, 4096 + D)
-        xi = self.stationary.xi_path(w[: 4096 + D], 4096)
+        xi = self.stationary.xi(w)[1:]  # xi_1..xi_4096
         return abs(float(np.mean(xi))) + 10.0 * float(np.std(xi))
 
 
@@ -381,19 +381,25 @@ def summarize_passage(samples: PassageSamples) -> PassageSummary:
         non_crossing_fraction=ncf)
 
 
+def map_levels(collect: Callable, a_grid: Sequence[float], reps: int,
+               stream: RngStream, workers: int = 1) -> list:
+    """The parts of ``map_replications`` over ``collect(a, stream=...)`` at
+    each level a of the grid; level i draws on sub-stream
+    stream_id + 10 + i, so the levels are independent."""
+    return [map_replications(
+        partial(collect, float(a),
+                stream=stream.with_stream(stream.stream_id + 10 + i)),
+        reps, workers) for i, a in enumerate(a_grid)]
+
+
 def summarize_levels(model: PerturbedWalkModel, a_grid: Sequence[float],
                      reps: int, stream: RngStream, workers: int = 1
                      ) -> Tuple[PassageSummary, ...]:
-    """One passage summary per level of the grid; level i draws on
-    sub-stream stream_id + 10 + i."""
-    summaries = []
-    for i, a in enumerate(a_grid):
-        level = stream.with_stream(stream.stream_id + 10 + i)
-        parts = map_replications(
-            partial(collect_passage, model, float(a), stream=level), reps,
-            workers)
-        summaries.append(summarize_passage(PassageSamples.concatenate(parts)))
-    return tuple(summaries)
+    """One passage summary per level of the grid (levels as in
+    ``map_levels``)."""
+    return tuple(summarize_passage(PassageSamples.concatenate(parts))
+                 for parts in map_levels(partial(collect_passage, model),
+                                         a_grid, reps, stream, workers))
 
 
 # -- backward functional ------------------------------------------------
@@ -469,14 +475,14 @@ def _exit_depth(mu: float, sigma: float, xi_slack: float) -> int:
 
 def backward_kernel(draw: Callable[[np.random.Generator, int], np.ndarray],
                     x_of: Callable[[np.ndarray], np.ndarray],
-                    xi_backward: Callable[[np.ndarray], np.ndarray],
-                    xi_depth: int, mu: float, sigma2: float, kappa4: float,
-                    xi_slack: float, depth: Optional[int], stream: RngStream,
-                    reps: int, rep_offset: int) -> BackwardBatch:
+                    spec: StationarySpec, mu: float, sigma2: float,
+                    kappa4: float, xi_slack: float, depth: Optional[int],
+                    stream: RngStream, reps: int,
+                    rep_offset: int) -> BackwardBatch:
     """Backward functional of replications rep_offset..rep_offset+reps-1.
 
     ``draw(gen, k)`` gives a replication's backward rows W_0..W_{1-k};
-    ``x_of`` and ``xi_backward`` map them to X and to xi_0, xi_{-1}, ....
+    ``x_of`` and ``spec.xi_backward`` map them to X and to xi_0, xi_{-1}, ....
     A row's infimum runs up to the first i where X_0 + ... + X_{-(i-1)}
     - 10 sigma sqrt(i) - xi_slack exceeds the running minimum of
     Z*_{-i} - xi_0; a row with no such i <= cap is truncated at j = -cap.
@@ -495,13 +501,13 @@ def backward_kernel(draw: Callable[[np.random.Generator, int], np.ndarray],
             f"backward depth {cap} below recommended {rec}; residual dip "
             f"probability about {resid:.2e}", RuntimeWarning)
     sigma = math.sqrt(sigma2)
-    D = max(xi_depth, 1)
+    D = max(spec.depth, 1)
     keys = ReplicationGenerators(stream)
 
     def explore(idx: np.ndarray, I: int) -> Tuple[np.ndarray, np.ndarray]:
         rows = np.stack([draw(keys.generator(rep_offset + r), I + D)
                          for r in idx])
-        xi = xi_backward(rows)
+        xi = spec.xi_backward(rows)
         c = np.cumsum(x_of(rows)[:, :I], axis=1)  # X_0 + ... + X_{-(i-1)}
         vals = c - xi[:, 1:I + 1]                 # Z*_{-i} - xi_0
         i = np.arange(1, I + 1)
@@ -537,11 +543,10 @@ def backward_min_functional(model: PerturbedWalkModel, depth: Optional[int],
     flagged and a residual dip probability is estimated for the warning.
     """
     law = model.increment_law
-    spec = model.stationary
-    return backward_kernel(law.sample, lambda w: w, spec.xi_backward,
-                           spec.depth, law.mean, law.variance,
-                           law.central_moment4, model.xi_slack(stream), depth,
-                           stream, reps, rep_offset)
+    return backward_kernel(law.sample, lambda w: w, model.stationary,
+                           law.mean, law.variance, law.central_moment4,
+                           model.xi_slack(stream), depth, stream, reps,
+                           rep_offset)
 
 
 def excess_cdf_from_backward(batch: BackwardBatch,

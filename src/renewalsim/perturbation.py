@@ -11,7 +11,10 @@ Three ingredients make up the perturbed walk Z_n = S_n + xi_n + zeta_n:
 * ``ResidualSpec`` is an extra term zeta''_n: zero, or a constant shift
   for oracle tests.
 
-The path evaluators take independent paths along leading axes.
+``StationarySpec.xi`` is the one evaluator of xi_n: it reads a driving
+history oldest first and gives xi at each full window; ``xi_path`` and
+``xi_backward`` are that history read forward and backward.  The
+evaluators take independent paths along leading axes.
 """
 
 from __future__ import annotations
@@ -42,16 +45,6 @@ def _resolve_map(h) -> Callable[[np.ndarray], np.ndarray]:
     except KeyError:
         raise ConfigurationError(f"unknown map {h!r}; named maps: "
                                  f"{sorted(_NAMED_MAPS)}", "stationary.h")
-
-
-def _per_path(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-              width: int) -> np.ndarray:
-    """``fn`` on each path (last axis) of ``x``, ``width`` values each."""
-    flat = x.reshape(-1, x.shape[-1])
-    out = np.empty((len(flat), width))
-    for i, path in enumerate(flat):
-        out[i] = fn(path)
-    return out.reshape(x.shape[:-1] + (width,))
 
 
 @dataclass(frozen=True)
@@ -159,92 +152,62 @@ class StationarySpec:
 
     # -- evaluation ------------------------------------------------------
 
-    def xi_path(self, w_ext: np.ndarray, n: int) -> np.ndarray:
-        """xi_1..xi_n from extended history w_ext = (W_{1-D}, ..., W_n).
+    def xi(self, w: np.ndarray) -> np.ndarray:
+        """xi at every full window of the driving values ``w``.
 
-        ``w_ext`` holds n + depth driving values along its last axis
-        (leading axes are independent paths); the first ``depth`` are
-        burn-in so xi_1 is already stationary.  The staggered kind's
-        rows go backward only (``xi_backward``).
+        ``w`` runs oldest first along its step axis (the last axis; the
+        last but one for staggered_residual, whose rows are (lifetime,
+        interarrival)); leading axes are independent paths.  Entry i is
+        xi at the window ending at step i + depth - 1, so N steps give
+        N - depth + 1 values, and a row of exactly depth steps gives xi
+        of that one window.
         """
+        w = np.asarray(w)
         D = self.depth
-        w_ext = np.asarray(w_ext)
-        if self.kind == "staggered_residual" or w_ext.shape[-1] != n + D:
-            raise ContractViolationError(
-                f"need a scalar history of n + depth = {n + D} values")
-        if self.kind == "zero":
-            return np.zeros(w_ext.shape[:-1] + (n,))
-        if self.kind == "instantaneous":
-            return _resolve_map(self.h)(w_ext[..., D:D + n]) - self.centering
-        kernel = self.beta ** np.arange(D)
-        xi = _per_path(lambda hw: np.convolve(hw, kernel, "valid")[1:],
-                       _resolve_map(self.h)(w_ext), n)
-        xi -= self.centering
-        return xi
-
-    def xi_backward(self, w_back: np.ndarray) -> np.ndarray:
-        """xi_0, xi_{-1}, ..., from backward-ordered rows W_0, W_{-1}, ...
-
-        Returns xi at indices 0..-(len - depth); entry i is xi_{-i}.  Rows
-        run along the last axis (staggered: the last but one, rows being
-        (lifetime, interarrival)); leading axes are independent paths.
-        """
-        D = self.depth
-        w_back = np.asarray(w_back)
-        if self.kind == "zero":
-            return np.zeros(w_back.shape)
         stag = self.kind == "staggered_residual"
-        steps = w_back.shape[-2] if stag else w_back.shape[-1]
-        if steps < D:
-            raise ContractViolationError("backward history shorter than depth")
+        m = (w.shape[-2] if stag else w.shape[-1]) - D + 1
+        if m < 1:
+            raise ContractViolationError(
+                f"need at least depth = {D} driving values")
+        lags = [slice(D - 1 - k, D - 1 - k + m) for k in range(D)]  # W_{n-k}
+        if self.kind == "zero":
+            return np.zeros(w.shape[:-1] + (m,))
         if self.kind == "instantaneous":
-            return _resolve_map(self.h)(w_back) - self.centering
-        m = steps - D + 1
+            return _resolve_map(self.h)(w) - self.centering
         if self.kind == "geometric_ma":
-            kernel = self.beta ** np.arange(D)
-            return _per_path(lambda hw: np.correlate(hw, kernel, "valid"),
-                             _resolve_map(self.h)(w_back), m) - self.centering
-        # lag k of xi_{-i} is the patient of row i + k, who waited the
-        # interarrival gaps of rows i..i+k
-        life, inter = w_back[..., 0], w_back[..., 1]
+            hw = _resolve_map(self.h)(w)
+            xi = np.zeros(hw.shape[:-1] + (m,))
+            for k, lag in enumerate(lags):
+                xi += self.beta ** k * hw[..., lag]
+            xi -= self.centering
+            return xi
+        # lag k is the patient who arrived k rows back and has waited the
+        # interarrival gaps of rows n-k..n
+        life, inter = w[..., 0], w[..., 1]
         waited, left, alive, residual = np.zeros((4,) + life.shape[:-1] + (m,))
-        for k in range(D):
-            waited += inter[..., k:k + m]
-            np.maximum(np.subtract(life[..., k:k + m], waited, out=left), 0.0,
+        for lag in lags:
+            waited += inter[..., lag]
+            np.maximum(np.subtract(life[..., lag], waited, out=left), 0.0,
                        out=left)
             alive += left > 0.0
             residual += left
         return -(self.g10 * alive + self.g01 * residual) - self.centering
 
-    def xi_of_windows(self, windows: np.ndarray) -> np.ndarray:
-        """xi from independent stationary windows, one value per row.
+    def xi_path(self, w_ext: np.ndarray, n: int) -> np.ndarray:
+        """xi_1..xi_n from extended history w_ext = (W_{1-D}, ..., W_n),
+        n + depth driving values; the first depth are burn-in, so xi_1 is
+        already stationary."""
+        xi = self.xi(w_ext)
+        if xi.shape[-1] != n + 1:
+            raise ContractViolationError(
+                f"need a history of n + depth = {n + self.depth} values")
+        return xi[..., 1:]
 
-        ``windows`` holds rows (W_{n-D+1}, ..., W_n) oldest first:
-        shape (N, depth) for scalar driving kinds, (N, depth, 2) for
-        staggered_residual.  Unlike xi_path, rows may be unrelated
-        draws, so the N outputs are i.i.d.
-        """
-        wins = np.asarray(windows)
-        if self.kind == "zero":
-            return np.zeros(wins.shape[0])
-        D = self.depth
-        if wins.ndim < 2 or wins.shape[1] != D:
-            raise ContractViolationError(
-                f"windows must have {D} columns, got shape {wins.shape}")
-        if self.kind == "instantaneous":
-            return _resolve_map(self.h)(wins[:, -1]) - self.centering
-        if self.kind == "geometric_ma":
-            kernel = self.beta ** np.arange(D)
-            return _resolve_map(self.h)(wins[:, ::-1]) @ kernel - self.centering
-        if wins.ndim != 3 or wins.shape[2] != 2:
-            raise ContractViolationError(
-                "staggered_residual expects window rows (lifetime, interarrival)")
-        rev = wins[:, ::-1, :]
-        waited = np.cumsum(rev[:, :, 1], axis=1)
-        life = rev[:, :, 0]
-        alive = (life > waited).sum(axis=1)
-        residual = np.maximum(life - waited, 0.0).sum(axis=1)
-        return -(self.g10 * alive + self.g01 * residual) - self.centering
+    def xi_backward(self, w_back: np.ndarray) -> np.ndarray:
+        """xi_0, xi_{-1}, ... from backward-ordered rows W_0, W_{-1}, ...:
+        ``xi`` of the history turned oldest first, turned back."""
+        axis = -2 if self.kind == "staggered_residual" else -1
+        return np.flip(self.xi(np.flip(w_back, axis)), -1)
 
     def xi_sd_analytic(self, law: IncrementLaw) -> Optional[float]:
         """Stationary sd of xi_n when available in closed form."""
@@ -258,24 +221,15 @@ class StationarySpec:
             return math.sqrt(law.variance * geom)
         return None
 
-    def lower_bound(self) -> Optional[float]:
-        """A deterministic lower bound for xi_n, when one exists."""
+    def lower_bound_for(self, law: IncrementLaw) -> Optional[float]:
+        """A deterministic lower bound for xi_n given the driving law's
+        support, when one exists."""
         if self.kind == "zero":
             return 0.0
-        if self.kind in ("instantaneous", "geometric_ma") and \
-                self.h in ("abs", "square"):
-            return -self.centering
-        if self.kind == "staggered_residual" and self.g10 <= 0 and self.g01 <= 0:
-            return 0.0
-        return None
-
-    def lower_bound_for(self, law: IncrementLaw) -> Optional[float]:
-        """Lower bound for xi_n given the driving law's support."""
-        fixed = self.lower_bound()
-        if fixed is not None:
-            return fixed
-        if self.h == "identity" and law.support_min >= 0.0 and \
-                self.kind in ("instantaneous", "geometric_ma"):
+        if self.kind == "staggered_residual":
+            return 0.0 if self.g10 <= 0 and self.g01 <= 0 else None
+        if self.h in ("abs", "square") or \
+                self.h == "identity" and law.support_min >= 0.0:
             return -self.centering
         return None
 

@@ -411,7 +411,7 @@ def staggered_backward_batch(model: StaggeredExponentialModel, reps: int,
     slack_gen = stream.with_stream(stream.stream_id + 101).generator()
     wins = np.stack([slack_gen.exponential(1.0 / theta, (4096, d_eff)),
                      slack_gen.exponential(1.0 / rate, (4096, d_eff))], axis=2)
-    xi_probe = spec.xi_of_windows(wins)
+    xi_probe = spec.xi(wins)[:, 0]
     xi_slack = abs(float(np.mean(xi_probe))) + 10.0 * float(np.std(xi_probe))
 
     def draw(gen: np.random.Generator, k: int) -> np.ndarray:
@@ -423,7 +423,7 @@ def staggered_backward_batch(model: StaggeredExponentialModel, reps: int,
     # X = mu + g01 (L - 1/theta); an exponential's fourth central moment
     # is 9 / theta^4
     x_of = lambda rows: mu + vals.g01 * (rows[..., 0] - 1.0 / theta)
-    return backward_kernel(draw, x_of, spec.xi_backward, d_eff, mu, sigma2,
+    return backward_kernel(draw, x_of, spec, mu, sigma2,
                            vals.g01 ** 4 * 9.0 / theta ** 4, xi_slack, depth,
                            stream, reps, rep_offset)
 

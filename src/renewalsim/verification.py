@@ -23,7 +23,7 @@ from .first_passage import (PassageSamples, PathBlock, PerturbedWalkModel,
                             RenewalConstants, block_length, collect_passage,
                             estimate_rho_nu, excess_cdf_from_backward,
                             experiment_backward, forward_kernel,
-                            summarize_levels)
+                            map_levels, summarize_levels)
 from .mixture import mixture_cdf
 from .parallel import map_replications
 from .perturbation import zeta_window_path
@@ -160,11 +160,10 @@ def _envelope_offset(model: PerturbedWalkModel) -> Optional[float]:
     xi_lb = model.stationary.lower_bound_for(model.increment_law)
     if xi_lb is None:
         return None
-    zeta_lb = 0.0
     if model.quadratic is not None:
         if float(np.linalg.eigvalsh(model.quadratic.Q)[0]) < 0:
             return None
-    return xi_lb + zeta_lb + min(model.residual.value, 0.0)
+    return xi_lb + min(model.residual.value, 0.0)
 
 
 def _stationary_xi_sample(model: PerturbedWalkModel, reps: int,
@@ -182,7 +181,7 @@ def _stationary_xi_sample(model: PerturbedWalkModel, reps: int,
     need = max(D, P, 1)
     gen = stream.generator()
     rows = model.increment_law.sample(gen, reps * need).reshape(reps, need)
-    xi = model.stationary.xi_of_windows(rows[:, need - D:])
+    xi = model.stationary.xi(rows[:, need - D:])[:, 0]
     windows = rows[:, need - P:] if P > 0 else None
     return windows, xi
 
@@ -474,15 +473,15 @@ def lemma1_diagnostic(model: PerturbedWalkModel, q: float,
     E(t_a - M)_+ on a grid of levels.
 
     Each is an expected count of path indices; all three vanish as a
-    grows, which is what the acceptance trend checks assert.
+    grows, which is what the acceptance trend checks assert.  Levels are
+    independent, as in ``map_levels``.
     """
     rows = []
-    for a in a_grid:
+    for a, parts in zip(a_grid, map_levels(partial(lemma1_collect, model, q),
+                                           a_grid, reps, stream, workers)):
         a = float(a)
         wb = WindowBounds.for_level(q, a, model.mu)
-        vals = np.vstack(map_replications(
-            partial(lemma1_collect, model, q, a, stream=stream), reps,
-            workers))
+        vals = np.vstack(parts)
         d0, s0 = _mean_se(vals[:, 0])
         d1, s1 = _mean_se(vals[:, 1])
         tl, stl = _mean_se(vals[:, 2])
@@ -523,18 +522,19 @@ def lemma3_diagnostic(model: PerturbedWalkModel, q: float, eps: float,
                       a_grid: Sequence[float], reps: int, stream: RngStream,
                       workers: int = 1) -> Tuple[Lemma3Row, ...]:
     """Expected count of indices n in (m, M] where the slowly-changing
-    term and its windowed coupling differ by at least eps."""
+    term and its windowed coupling differ by at least eps; levels are
+    independent, as in ``map_levels``."""
     if eps <= 0:
         raise ConfigurationError("eps must be > 0", "lemma3.eps")
     if model.quadratic is None:
         return tuple(Lemma3Row(float(a), 0, 0, 0.0, 0.0) for a in a_grid)
     rows = []
-    for a in a_grid:
+    for a, parts in zip(a_grid, map_levels(
+            partial(lemma3_collect, model, q, eps), a_grid, reps, stream,
+            workers)):
         a = float(a)
         wb = WindowBounds.for_level(q, a, model.mu)
-        counts = np.concatenate(map_replications(
-            partial(lemma3_collect, model, q, eps, a, stream=stream), reps,
-            workers))
+        counts = np.concatenate(parts)
         c, s = _mean_se(counts)
         rows.append(Lemma3Row(a, wb.m, wb.M, c, s))
     return tuple(rows)

@@ -179,21 +179,45 @@ def plain_overshoot(law: IncrementLaw, a: float, reps: int,
 # -- pointwise perturbation terms ---------------------------------------
 
 
+_MAPS = {"identity": lambda w: w, "abs": abs, "square": lambda w: w * w,
+         "sin": math.sin, "cos": math.cos}
+
+
 def xi_value(spec: StationarySpec, n: int, history: np.ndarray) -> float:
-    """Evaluate xi_n from a window of driving values ending at time n.
+    """xi_n from its definition, on a window of driving values ending at
+    time n.
 
     ``history`` is ordered oldest first and must supply at least
-    ``spec.depth`` entries (rows for the staggered kind).
+    ``spec.depth`` entries (rows (lifetime, interarrival) for the
+    staggered kind).  With c the centering and D the depth:
+
+    * zero: 0;
+    * instantaneous: h(W_n) - c;
+    * geometric_ma: sum_{k<D} beta^k h(W_{n-k}) - c;
+    * staggered_residual: -(g10 * #alive + g01 * total residual life) - c
+      over the last D arrivals, the one k rows back having waited the
+      interarrival gaps of rows n-k..n.
     """
     history = np.asarray(history)
     D = spec.depth
-    if spec.kind == "zero":
-        return 0.0
     if history.shape[0] < D:
         raise ContractViolationError(
             f"history supplies {history.shape[0]} values, depth {D} required")
-    window = history[history.shape[0] - D:]
-    return float(spec.xi_backward(window[::-1])[0])
+    if spec.kind == "zero":
+        return 0.0
+    recent = history[::-1][:D]  # W_n, W_{n-1}, ..., W_{n-D+1}
+    if spec.kind == "staggered_residual":
+        alive, residual, waited = 0, 0.0, 0.0
+        for life, gap in recent:
+            waited += float(gap)
+            if life > waited:
+                alive += 1
+                residual += float(life) - waited
+        return -(spec.g10 * alive + spec.g01 * residual) - spec.centering
+    h = spec.h if callable(spec.h) else _MAPS[spec.h]
+    # instantaneous: D = 1, so only the k = 0 term, h(W_n)
+    return sum(spec.beta ** k * float(h(float(w)))
+               for k, w in enumerate(recent)) - spec.centering
 
 
 def zeta_quadratic(T_n: np.ndarray, n: int, spec: QuadraticSpec) -> float:
@@ -360,16 +384,16 @@ def coupling_count(model: PerturbedWalkModel, q: float, eps: float, a: float,
     return int(np.count_nonzero(np.abs(full_zeta - coupled) >= eps))
 
 
-def backward(sample_rows, x_of, xi_backward, xi_depth: int, mu: float,
+def backward(sample_rows, x_of, spec: StationarySpec, mu: float,
              sigma: float, xi_slack: float, cap: int,
              gen: np.random.Generator) -> tuple:
     """One replication of the backward functional, grown 192 indices at a
     time and explored to j = -cap at most: (inf, xi0, Z*_{-1}, attained
     index, truncated)."""
-    D = max(xi_depth, 1)
+    D = max(spec.depth, 1)
     rows = sample_rows(gen, _BACK_BLOCK + D)
     while True:
-        xi = xi_backward(rows)
+        xi = spec.xi_backward(rows)
         x = x_of(rows)
         I = min(xi.shape[0] - 1, cap)
         c = np.cumsum(x[:I])            # c[i-1] = X_0 + ... + X_{-(i-1)}
@@ -397,8 +421,8 @@ def backward_rows(model: PerturbedWalkModel, depth: Optional[int], reps: int,
     cap = recommended_backward_depth(law.mean, law.variance, xi_slack) \
         if depth is None else depth
     return np.array([backward(
-        law.sample, lambda w: w, spec.xi_backward, spec.depth, law.mean,
-        math.sqrt(law.variance), xi_slack, cap,
+        law.sample, lambda w: w, spec, law.mean, math.sqrt(law.variance),
+        xi_slack, cap,
         stream.with_replication(rep_offset + r).generator())
         for r in range(reps)])
 
@@ -413,7 +437,7 @@ def staggered_backward_rows(model, reps: int, stream: RngStream,
     slack_gen = stream.with_stream(stream.stream_id + 101).generator()
     wins = np.stack([slack_gen.exponential(1.0 / theta, (4096, d_eff)),
                      slack_gen.exponential(1.0 / rate, (4096, d_eff))], axis=2)
-    xi_probe = spec.xi_of_windows(wins)
+    xi_probe = spec.xi(wins)[:, 0]
     xi_slack = abs(float(np.mean(xi_probe))) + 10.0 * float(np.std(xi_probe))
     cap = recommended_backward_depth(mu, sigma2, xi_slack) \
         if depth is None else depth
@@ -424,6 +448,6 @@ def staggered_backward_rows(model, reps: int, stream: RngStream,
 
     x_of = lambda rows: mu + vals.g01 * (rows[:, 0] - 1.0 / theta)
     return np.array([backward(
-        sample_rows, x_of, spec.xi_backward, d_eff, mu, math.sqrt(sigma2),
-        xi_slack, cap, stream.with_replication(rep_offset + r).generator())
+        sample_rows, x_of, spec, mu, math.sqrt(sigma2), xi_slack, cap,
+        stream.with_replication(rep_offset + r).generator())
         for r in range(reps)])

@@ -94,44 +94,77 @@ def test_centered_integrates_other_maps_over_the_quantiles(monkeypatch):
     assert spec.centering == float(np.mean(np.abs(ppf(law, q))))
 
 
+# one spec of each kind; the staggered kind drives (lifetime,
+# interarrival) rows
+XI_SPECS = {
+    "zero": lambda depth: StationarySpec.zero(),
+    "instantaneous": lambda depth: StationarySpec.instantaneous(
+        "abs", centering=0.8),
+    "geometric_ma": lambda depth: geometric_spec(0.6, depth).centered(
+        IncrementLaw.exponential(1.0)),
+    "staggered_residual": lambda depth: StationarySpec.staggered_residual(
+        0.7, -1.3, depth),
+}
+
+
+def driving(spec, seed, steps):
+    """``steps`` exponential driving values (rows for the staggered kind)."""
+    cols = (2,) if spec.kind == "staggered_residual" else ()
+    return RngStream(seed).generator().exponential(size=(steps,) + cols)
+
+
 def test_xi_path_matches_pointwise_oracle():
-    spec = geometric_spec(0.6, depth=9)
-    D = spec.depth
     n = 40
-    w = RngStream(5).generator().exponential(size=n + D)
-    path = spec.xi_path(w, n)
-    direct = [xi_value(spec, k, w[:D + k]) for k in range(1, n + 1)]
-    assert np.allclose(path, direct, rtol=1e-12, atol=1e-12)
+    for kind, make in XI_SPECS.items():
+        spec = make(9)
+        D = spec.depth
+        w = driving(spec, 5, n + D)
+        path = spec.xi_path(w, n)
+        direct = [xi_value(spec, k, w[:D + k]) for k in range(1, n + 1)]
+        assert path.shape == (n,), kind
+        assert np.allclose(path, direct, rtol=1e-12, atol=1e-12), kind
 
 
 def test_xi_backward_alignment():
-    spec = geometric_spec(0.4, depth=7).centered(IncrementLaw.exponential(1.0))
-    n = 30
-    w = RngStream(6).generator().exponential(size=n + spec.depth)
-    path = spec.xi_path(w, n)
-    back = spec.xi_backward(w[::-1])
-    assert np.allclose(back[:n], path[::-1], rtol=1e-12, atol=1e-12)
+    N = 30
+    for kind, make in XI_SPECS.items():
+        spec = make(7)
+        w = driving(spec, 6, N)
+        back = spec.xi_backward(w[::-1])
+        # entry i is xi_{-i}, on the window ending i steps before the last
+        direct = [xi_value(spec, 0, w[:N - i])
+                  for i in range(N - spec.depth + 1)]
+        assert np.allclose(back, direct, rtol=1e-12, atol=1e-12), kind
 
 
 def test_xi_of_windows_matches_value():
-    spec = geometric_spec(0.5, depth=6)
-    D = spec.depth
-    wins = RngStream(9).generator().exponential(size=(50, D))
-    out = spec.xi_of_windows(wins)
-    direct = [xi_value(spec, D, row) for row in wins]
-    assert np.allclose(out, direct, rtol=1e-12, atol=1e-12)
-    with pytest.raises(ContractViolationError):
-        spec.xi_of_windows(wins[:, :3])
+    for kind, make in XI_SPECS.items():
+        spec = make(6)
+        D = spec.depth
+        wins = driving(spec, 9, 50 * D).reshape((50, D) + (
+            (2,) if kind == "staggered_residual" else ()))
+        # one full window per row: xi of that window alone
+        out = spec.xi(wins)[:, 0]
+        direct = [xi_value(spec, D, row) for row in wins]
+        assert np.allclose(out, direct, rtol=1e-12, atol=1e-12), kind
+        if D > 1:
+            with pytest.raises(ContractViolationError):
+                spec.xi(wins[:, :D - 1])
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 25), st.integers(0, 2 ** 31 - 1))
-def test_xi_path_backward_coupling_property(depth, n, seed):
-    spec = geometric_spec(0.55, depth=depth)
-    w = RngStream(seed).generator().exponential(size=n + depth)
+@given(st.sampled_from(sorted(XI_SPECS)), st.integers(1, 12),
+       st.integers(1, 25), st.integers(0, 2 ** 31 - 1))
+def test_xi_path_backward_coupling_property(kind, depth, n, seed):
+    spec = XI_SPECS[kind](depth)
+    w = driving(spec, seed, n + spec.depth)
     path = spec.xi_path(w, n)
     back = spec.xi_backward(w[::-1])
-    assert np.allclose(back[:n], path[::-1], rtol=1e-12, atol=1e-12)
+    # one evaluator read both ways: the same bits
+    assert np.array_equal(back[:n], path[::-1])
+    k = n // 2 + 1
+    assert path[k - 1] == pytest.approx(
+        xi_value(spec, k, w[:spec.depth + k]), rel=1e-12, abs=1e-12)
 
 
 def test_instantaneous_and_zero_paths():
@@ -151,7 +184,7 @@ def test_xi_sd_analytic_against_iid_windows():
     assert sd == pytest.approx(math.sqrt((1 - 0.5 ** 54) / 0.75), rel=1e-9)
     wins = law.sample(RngStream(31, stream_id=2).generator(),
                       20_000 * spec.depth).reshape(20_000, spec.depth)
-    xi = spec.xi_of_windows(wins)
+    xi = spec.xi(wins)[:, 0]
     assert np.std(xi) == pytest.approx(sd, rel=0.03)
     assert StationarySpec.zero().xi_sd_analytic(law) == 0.0
     assert StationarySpec.instantaneous().xi_sd_analytic(law) == 1.0
@@ -163,13 +196,15 @@ def test_xi_sd_analytic_against_iid_windows():
 def test_lower_bounds():
     law = IncrementLaw.exponential(1.0)
     spec = StationarySpec.geometric_ma("abs", 0.5, centering=1.5)
-    assert spec.lower_bound() == -1.5
+    assert spec.lower_bound_for(IncrementLaw.normal(1.0, 1.0)) == -1.5
     ident = geometric_spec(0.5).centered(law)
-    assert ident.lower_bound() is None
     assert ident.lower_bound_for(law) == pytest.approx(-ident.centering)
     assert ident.lower_bound_for(IncrementLaw.normal(1.0, 1.0)) is None
     stag = StationarySpec.staggered_residual(-1.0, -2.0, 5)
-    assert stag.lower_bound() == 0.0
+    assert stag.lower_bound_for(law) == 0.0
+    assert StationarySpec.staggered_residual(1.0, -2.0, 5) \
+        .lower_bound_for(law) is None
+    assert StationarySpec.zero().lower_bound_for(law) == 0.0
     n = 5000
     w = law.sample(RngStream(3).generator(), n + ident.depth)
     assert ident.xi_path(w, n).min() >= ident.lower_bound_for(law) - 1e-12

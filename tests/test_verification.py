@@ -187,7 +187,11 @@ def test_lemma1_rows_and_chunking(tm1_model):
         assert np.array_equal(got, want)
     rows = lemma1_diagnostic(tm1_model, 0.4, grid, 80, RngStream(25))
     assert [r.a for r in rows] == grid
-    for r, vals in zip(rows, whole):
+    # level i draws on sub-stream stream_id + 10 + i
+    levels = [lemma1_collect(tm1_model, 0.4, a, 80,
+                             RngStream(25, stream_id=10 + i))
+              for i, a in enumerate(grid)]
+    for r, vals in zip(rows, levels):
         assert [r.delta0, r.delta1, r.tail] == \
             [vals[:, k].mean() for k in range(3)]
         assert r.m < r.M
@@ -212,8 +216,12 @@ def test_lemma3_rows(tm1_model):
     rows = lemma3_diagnostic(tm1_model, 0.4, 0.5, [30.0, 60.0], 60,
                              RngStream(27))
     assert len(rows) == 2
-    for r in rows:
+    for i, r in enumerate(rows):
         assert r.count >= 0 and r.se >= 0
+        # level i draws on sub-stream stream_id + 10 + i
+        assert r.count == lemma3_collect(
+            tm1_model, 0.4, 0.5, r.a, 60, RngStream(27, stream_id=10 + i)
+        ).mean()
     parts = np.concatenate([
         lemma3_collect(tm1_model, 0.4, 0.5, 30.0, 25, RngStream(27)),
         lemma3_collect(tm1_model, 0.4, 0.5, 30.0, 35, RngStream(27),
