@@ -108,9 +108,12 @@ XI_SPECS = {
 
 
 def driving(spec, seed, steps):
-    """``steps`` exponential driving values (rows for the staggered kind)."""
-    cols = (2,) if spec.kind == "staggered_residual" else ()
-    return RngStream(seed).generator().exponential(size=(steps,) + cols)
+    """``steps`` driving values: normal ones, so that ``abs`` bites, or
+    exponential (lifetime, interarrival) rows for the staggered kind."""
+    gen = RngStream(seed).generator()
+    if spec.kind == "staggered_residual":
+        return gen.exponential(size=(steps, 2))
+    return gen.standard_normal(steps)
 
 
 def test_xi_path_matches_pointwise_oracle():
