@@ -19,16 +19,15 @@ from .perturbation import (QuadraticSpec, ResidualSpec, StationarySpec,
                            zeta_quadratic_path, zeta_window_path)
 from .mixture import (ChiSquareMixture, mixture_cdf, mixture_quantile,
                       mixture_sample, mixture_weights)
-from .parallel import map_replications
-from .first_passage import (BackwardBatch, FirstPassageSample, PassageSamples,
-                            PassageSummary, PerturbedWalkModel,
-                            RenewalConstants, backward_min_functional,
-                            collect_passage, constants_from_batch,
-                            estimate_rho_nu,
+from .parallel import map_replications, shared_pool
+from .first_passage import (BackwardBatch, PassageSamples, PassageSummary,
+                            PerturbedWalkModel, RenewalConstants,
+                            backward_min_functional, collect_passage,
+                            constants_from_batch, estimate_rho_nu,
                             excess_cdf_from_backward,
                             recommended_backward_depth,
-                            residual_dip_probability, simulate_passage,
-                            summarize_levels, summarize_passage)
+                            residual_dip_probability, summarize_levels,
+                            summarize_passage)
 from .verification import (EventPredicate, Lemma1Row, Lemma3Row,
                            TheoremReport, Theorem3Result, Theorem4Result,
                            Theorem4Row, WindowBounds, lemma1_diagnostic,

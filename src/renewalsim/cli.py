@@ -106,8 +106,7 @@ def _constants_extra(c) -> dict:
 
 
 def _run_simulate(cfg, model, stream) -> RunOutput:
-    summaries = summarize_levels(model, cfg.a_grid, cfg.reps, stream,
-                                 cfg.workers)
+    summaries = summarize_levels(model, cfg.a_grid, cfg.reps, stream)
     flags = [f"non-crossing fraction {s.non_crossing_fraction} at a={s.a} "
              f"exceeds 1%" for s in summaries if not s.usable]
     rows = [[s.a, s.reps, s.mean_t, s.se_t, s.mean_R, s.se_R, s.mean_xi,
@@ -120,10 +119,9 @@ def _run_simulate(cfg, model, stream) -> RunOutput:
 
 def _run_constants(cfg, model, stream) -> RunOutput:
     if cfg.model_kind() == "staggered":
-        c = staggered_constants(model, cfg.reps, stream, cfg.depth,
-                                cfg.workers)
+        c = staggered_constants(model, cfg.reps, stream, cfg.depth)
     else:
-        c = estimate_rho_nu(model, cfg.depth, cfg.reps, stream, cfg.workers)
+        c = estimate_rho_nu(model, cfg.depth, cfg.reps, stream)
     header = ("mu", "sigma2", "rho", "se_rho", "nu", "se_nu", "lam", "reps",
               "flags")
     rows = [[c.mu, c.sigma2, c.rho, c.se_rho, c.nu, c.se_nu, c.lam, c.reps,
@@ -135,21 +133,21 @@ def _run_constants(cfg, model, stream) -> RunOutput:
 def _run_thm1(cfg, model, stream) -> RunOutput:
     report = theorem1_experiment(model, _predicate(cfg.predicate),
                                  _resolve_y(model, cfg.y), cfg.a, cfg.b,
-                                 cfg.reps, stream, cfg.workers)
+                                 cfg.reps, stream)
     return RunOutput(_REPORT_HEADER, _report_rows([report]), report.passed,
                      [], None)
 
 
 def _run_thm3(cfg, model, stream) -> RunOutput:
     res = theorem3_experiment(model, float(cfg.a), cfg.reps, stream,
-                              cfg.backward_reps, cfg.depth, cfg.workers)
+                              cfg.backward_reps, cfg.depth)
     return RunOutput(_REPORT_HEADER, _report_rows(res.reports), res.passed,
                      [], res.non_crossing_fraction)
 
 
 def _run_thm4(cfg, model, stream) -> RunOutput:
     res = theorem4_experiment(model, cfg.a_grid, cfg.reps, stream, cfg.depth,
-                              cfg.backward_reps, cfg.workers)
+                              cfg.backward_reps)
     header = ("a", "mean_t", "se_t", "theory", "diff", "combined_se",
               "passed")
     rows = [[r.a, r.mean_t, r.se_t, r.theory, r.diff, r.combined_se, r.passed]
@@ -161,8 +159,7 @@ def _run_thm4(cfg, model, stream) -> RunOutput:
 
 
 def _run_lemma1(cfg, model, stream) -> RunOutput:
-    rows = lemma1_diagnostic(model, cfg.q, cfg.a_grid, cfg.reps, stream,
-                             cfg.workers)
+    rows = lemma1_diagnostic(model, cfg.q, cfg.a_grid, cfg.reps, stream)
     header = ("a", "m", "M", "delta0", "se0", "delta1", "se1", "tail",
               "se_tail")
     table = [[r.a, r.m, r.M, r.delta0, r.se0, r.delta1, r.se1, r.tail,
@@ -172,7 +169,7 @@ def _run_lemma1(cfg, model, stream) -> RunOutput:
 
 def _run_lemma3(cfg, model, stream) -> RunOutput:
     rows = lemma3_diagnostic(model, cfg.q, cfg.eps, cfg.a_grid, cfg.reps,
-                             stream, cfg.workers)
+                             stream)
     header = ("a", "m", "M", "count", "se")
     table = [[r.a, r.m, r.M, r.count, r.se] for r in rows]
     return RunOutput(header, table, None, [], None)
@@ -180,7 +177,7 @@ def _run_lemma3(cfg, model, stream) -> RunOutput:
 
 def _run_example_fwci(cfg, model, stream) -> RunOutput:
     res = example1_run(model, cfg.h, cfg.c, cfg.reps, stream,
-                       cfg.backward_reps, cfg.depth, cfg.workers)
+                       cfg.backward_reps, cfg.depth)
     header = ("a", "half_width", "confidence", "reps", "mean_t", "se_t",
               "coverage", "se_coverage", "nominal_coverage", "theory_Et",
               "combined_se", "expansion_passed", "non_crossing_fraction")
@@ -201,10 +198,10 @@ def _run_example_rst(cfg, model, stream) -> RunOutput:
     if calibrated:
         a = calibrate_lrt_boundary(model.arrival_rate, cfg.horizon,
                                    cfg.calibration_reps, stream, cfg.level,
-                                   model.n0, cfg.workers)
+                                   model.n0)
     else:
         a = float(cfg.a)
-    res = example2_run(model, a, cfg.reps, cfg.horizon, stream, cfg.workers)
+    res = example2_run(model, a, cfg.reps, cfg.horizon, stream)
     header = ("a", "calibrated", "horizon", "reps", "theta", "rejection_rate",
               "se_rejection", "mean_t_rejected", "se_t_rejected")
     rows = [[res.a, calibrated, res.horizon, res.reps, res.theta,

@@ -252,32 +252,6 @@ def forward_kernel(model: PerturbedWalkModel, stream: RngStream, reps: int,
                                               L, work), L >= horizon))
 
 
-@dataclass(frozen=True)
-class FirstPassageSample:
-    """One stopped replication of the perturbed walk."""
-
-    t_a: int
-    R_a: float
-    xi_at_stop: float
-    zeta_at_stop: float
-    crossed: bool
-
-
-def simulate_passage(model: PerturbedWalkModel, a: float,
-                     stream: RngStream) -> FirstPassageSample:
-    """First n >= n0 with Z_n > a (strict), its excess and perturbations.
-
-    If no crossing happens by horizon_factor * (a/mu + 100) indices the
-    sample is returned with crossed=False; callers must surface the
-    non-crossing rate rather than dropping such samples.
-    """
-    if a <= 0:
-        raise ConfigurationError("a must be > 0", "simulate_passage.a")
-    s = collect_passage(model, a, 1, stream, stream.replication_index)
-    return FirstPassageSample(int(s.t[0]), float(s.R[0]), float(s.xi[0]),
-                              float(s.zeta[0]), bool(s.crossed[0]))
-
-
 def _passage_stats(model: PerturbedWalkModel, a: float, block: PathBlock,
                    final: bool) -> Tuple[np.ndarray, np.ndarray]:
     """(t_a, R_a, xi, zeta, crossed) per row; an uncrossed row is done at
@@ -312,17 +286,6 @@ class PassageSamples:
     @property
     def non_crossing_fraction(self) -> float:
         return float(1.0 - np.mean(self.crossed))
-
-    @staticmethod
-    def concatenate(parts: "list[PassageSamples]") -> "PassageSamples":
-        a = parts[0].a
-        return PassageSamples(
-            a,
-            np.concatenate([p.t for p in parts]),
-            np.concatenate([p.R for p in parts]),
-            np.concatenate([p.xi for p in parts]),
-            np.concatenate([p.zeta for p in parts]),
-            np.concatenate([p.crossed for p in parts]))
 
 
 def collect_passage(model: PerturbedWalkModel, a: float, reps: int,
@@ -359,47 +322,52 @@ class PassageSummary:
         return self.non_crossing_fraction <= 0.01
 
 
+def mean_se(values: np.ndarray) -> Tuple[float, float]:
+    """Sample mean and its standard error (inf for one value)."""
+    m = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) \
+        if len(values) > 1 else math.inf
+    return m, se
+
+
 def summarize_passage(samples: PassageSamples) -> PassageSummary:
     ok = samples.crossed
     n = int(np.count_nonzero(ok))
     if n < 2:
         raise ConfigurationError("fewer than 2 crossed replications",
                                  "summarize_passage")
-    t = samples.t[ok].astype(float)
     ncf = samples.non_crossing_fraction
     if ncf > 0.01:
         warnings.warn(f"non-crossing fraction {ncf:.3f} exceeds 1%; "
                       f"summary flagged unusable", RuntimeWarning)
+    mean_t, se_t = mean_se(samples.t[ok].astype(float))
+    mean_R, se_R = mean_se(samples.R[ok])
     return PassageSummary(
-        a=samples.a, reps=samples.reps,
-        mean_t=float(np.mean(t)),
-        se_t=float(np.std(t, ddof=1) / math.sqrt(n)),
-        mean_R=float(np.mean(samples.R[ok])),
-        se_R=float(np.std(samples.R[ok], ddof=1) / math.sqrt(n)),
+        a=samples.a, reps=samples.reps, mean_t=mean_t, se_t=se_t,
+        mean_R=mean_R, se_R=se_R,
         mean_xi=float(np.mean(samples.xi[ok])),
         mean_zeta=float(np.mean(samples.zeta[ok])),
         non_crossing_fraction=ncf)
 
 
 def map_levels(collect: Callable, a_grid: Sequence[float], reps: int,
-               stream: RngStream, workers: int = 1) -> list:
-    """The parts of ``map_replications`` over ``collect(a, stream=...)`` at
-    each level a of the grid; level i draws on sub-stream
-    stream_id + 10 + i, so the levels are independent."""
+               stream: RngStream) -> list:
+    """``map_replications`` over ``collect(a, stream=...)`` at each level a
+    of the grid; level i draws on sub-stream stream_id + 10 + i, so the
+    levels are independent."""
     return [map_replications(
         partial(collect, float(a),
-                stream=stream.with_stream(stream.stream_id + 10 + i)),
-        reps, workers) for i, a in enumerate(a_grid)]
+                stream=stream.with_stream(stream.stream_id + 10 + i)), reps)
+        for i, a in enumerate(a_grid)]
 
 
 def summarize_levels(model: PerturbedWalkModel, a_grid: Sequence[float],
-                     reps: int, stream: RngStream, workers: int = 1
+                     reps: int, stream: RngStream
                      ) -> Tuple[PassageSummary, ...]:
     """One passage summary per level of the grid (levels as in
     ``map_levels``)."""
-    return tuple(summarize_passage(PassageSamples.concatenate(parts))
-                 for parts in map_levels(partial(collect_passage, model),
-                                         a_grid, reps, stream, workers))
+    return tuple(map(summarize_passage, map_levels(
+        partial(collect_passage, model), a_grid, reps, stream)))
 
 
 # -- backward functional ------------------------------------------------
@@ -453,16 +421,6 @@ class BackwardBatch:
     @property
     def reps(self) -> int:
         return len(self.inf_value)
-
-    @staticmethod
-    def concatenate(parts: "list[BackwardBatch]") -> "BackwardBatch":
-        return BackwardBatch(
-            np.concatenate([p.inf_value for p in parts]),
-            np.concatenate([p.xi0 for p in parts]),
-            np.concatenate([p.first_value for p in parts]),
-            np.concatenate([p.attained_index for p in parts]),
-            np.concatenate([p.truncated for p in parts]),
-            parts[0].depth_cap)
 
 
 def _exit_depth(mu: float, sigma: float, xi_slack: float) -> int:
@@ -642,20 +600,17 @@ def backward_stream(stream: RngStream) -> RngStream:
 
 
 def experiment_backward(model: PerturbedWalkModel, depth: Optional[int],
-                        reps: int, stream: RngStream,
-                        workers: int = 1) -> BackwardBatch:
+                        reps: int, stream: RngStream) -> BackwardBatch:
     """The backward batch of the experiment seeded by ``stream``."""
-    return BackwardBatch.concatenate(map_replications(
-        partial(backward_min_functional, model, depth,
-                stream=backward_stream(stream)), reps, workers))
+    return map_replications(partial(backward_min_functional, model, depth,
+                                    stream=backward_stream(stream)), reps)
 
 
 def estimate_rho_nu(model: PerturbedWalkModel, depth: Optional[int],
-                    reps: int, stream: RngStream,
-                    workers: int = 1) -> RenewalConstants:
+                    reps: int, stream: RngStream) -> RenewalConstants:
     """Estimate rho and nu for a perturbed-walk model via the backward
     minimum functional (see backward_stream for its sub-stream and
     constants_from_batch for the identities)."""
-    batch = experiment_backward(model, depth, reps, stream, workers)
+    batch = experiment_backward(model, depth, reps, stream)
     return constants_from_batch(batch, model.mu, model.sigma2,
                                 model.mixture_mean_value())

@@ -6,16 +6,20 @@ replications and the chunks run anywhere, in any order.  The chunks have
 a fixed size, so the worker count changes wall time, never results, and
 never the warnings a run raises.
 
-A process pool, and the ``multiprocessing`` import under it, is started
-only when a map has more than one chunk and more than one worker.  Inside
-``shared_pool`` every such map uses the same pool, so a run pays for one.
+Only ``shared_pool`` sets the worker count.  A process pool, and the
+``multiprocessing`` import under it, is started only when a map inside a
+block of more than one worker has more than one chunk; every such map in
+the block uses the same pool, so a run pays for one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from contextlib import contextmanager
 from typing import Callable, Iterator, List
+
+import numpy as np
 
 CHUNK_REPS = 1024
 
@@ -32,6 +36,19 @@ def raise_again(caught: List[warnings.WarningMessage]) -> None:
                                registry=registry)
 
 
+def join_chunks(parts: List):
+    """The rows of consecutive chunks as one result: arrays joined along
+    their first axis, or one dataclass whose array fields hold all the
+    rows and whose other fields are the first part's."""
+    first = parts[0]
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    return dataclasses.replace(first, **{
+        f.name: np.concatenate([getattr(p, f.name) for p in parts])
+        for f in dataclasses.fields(first)
+        if isinstance(getattr(first, f.name), np.ndarray)})
+
+
 def _run_chunk(fn: Callable, count: int, offset: int):
     """One chunk, with the warnings it raised (any process)."""
     with warnings.catch_warnings(record=True) as caught:
@@ -42,10 +59,10 @@ def _run_chunk(fn: Callable, count: int, offset: int):
 
 @contextmanager
 def shared_pool(workers: int) -> Iterator[None]:
-    """Within the block, every map_replications call that runs chunks in
-    processes uses one pool of ``workers`` processes, started at the first
-    such call and shut down when the block exits.  A nested block uses the
-    outer block's pool."""
+    """Within the block, map_replications runs chunks in a pool of
+    ``workers`` processes, started at the first map with more than one
+    chunk and shut down when the block exits.  A nested block uses the
+    outer block's worker count and pool."""
     global _workers, _pool
     if _workers:
         yield
@@ -59,26 +76,26 @@ def shared_pool(workers: int) -> Iterator[None]:
             pool.shutdown()
 
 
-def map_replications(fn: Callable, reps: int, workers: int = 1) -> List:
+def map_replications(fn: Callable, reps: int):
     """Call ``fn(reps=count, rep_offset=offset)`` on consecutive chunks of
-    CHUNK_REPS replications and return the parts in offset order.
+    CHUNK_REPS replications and return their rows joined in offset order
+    (``join_chunks``).
 
-    With ``workers > 1`` and more than one chunk, the chunks run in a
-    process pool, the open ``shared_pool`` block's or one of this call's
-    own, so ``fn`` and its bound arguments must pickle.  The warnings of
-    each chunk are raised again here, in chunk order.
+    Inside a ``shared_pool`` block of more than one worker, a map of more
+    than one chunk runs them in the block's pool, so ``fn`` and its bound
+    arguments must pickle; otherwise the chunks run in this process.  The
+    warnings of each chunk are raised again here, in chunk order.
     """
     global _pool
     offsets = range(0, reps, CHUNK_REPS)
     counts = [min(CHUNK_REPS, reps - off) for off in offsets]
-    if workers <= 1 or len(counts) <= 1:
+    if _workers <= 1 or len(counts) <= 1:
         done = [_run_chunk(fn, c, o) for c, o in zip(counts, offsets)]
     else:
-        with shared_pool(workers):
-            if _pool is None:
-                from concurrent.futures import ProcessPoolExecutor
-                _pool = ProcessPoolExecutor(max_workers=_workers)
-            done = list(_pool.map(_run_chunk, [fn] * len(counts), counts,
-                                  offsets))
+        if _pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+            _pool = ProcessPoolExecutor(max_workers=_workers)
+        done = list(_pool.map(_run_chunk, [fn] * len(counts), counts,
+                              offsets))
     raise_again([w for _, caught in done for w in caught])
-    return [part for part, _ in done]
+    return join_chunks([part for part, _ in done])

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (ConfigurationError, ContractViolationError,
                      StatisticUndefinedError)
 from .first_passage import (BackwardBatch, RenewalConstants, backward_kernel,
-                            backward_stream, constants_from_batch)
+                            backward_stream, constants_from_batch, mean_se)
 from .parallel import map_replications
 from .perturbation import StationarySpec
 from .rng import RngStream
@@ -429,8 +429,8 @@ def staggered_backward_batch(model: StaggeredExponentialModel, reps: int,
 
 
 def staggered_constants(model: StaggeredExponentialModel, reps: int,
-                        stream: RngStream, depth: Optional[int] = None,
-                        workers: int = 1) -> RenewalConstants:
+                        stream: RngStream,
+                        depth: Optional[int] = None) -> RenewalConstants:
     """Expansion constants for the trial statistic via the backward
     minimum functional driven by (lifetime, interarrival) pairs, drawn
     on the backward sub-stream of ``stream``.
@@ -440,9 +440,9 @@ def staggered_constants(model: StaggeredExponentialModel, reps: int,
     survival probability of a lag falls below 1e-14.
     """
     _, mu, sigma2, lam, _, _ = _expansion_ingredients(model)
-    batch = BackwardBatch.concatenate(map_replications(
+    batch = map_replications(
         partial(staggered_backward_batch, model,
-                stream=backward_stream(stream), depth=depth), reps, workers))
+                stream=backward_stream(stream), depth=depth), reps)
     return constants_from_batch(batch, mu, sigma2, lam)
 
 
@@ -490,8 +490,7 @@ def example1_collect(model: StaggeredExponentialModel, a: float, h: float,
 def example1_run(model: StaggeredExponentialModel, h: float, c: float,
                  reps: int, stream: RngStream,
                  backward_reps: Optional[int] = None,
-                 depth: Optional[int] = None,
-                 workers: int = 1) -> Example1Result:
+                 depth: Optional[int] = None) -> Example1Result:
     """Stop when the +-h interval for the hazard reaches confidence c;
     report Ê(t_a), coverage of theta, and the expansion prediction.
 
@@ -504,8 +503,8 @@ def example1_run(model: StaggeredExponentialModel, h: float, c: float,
     if h <= 0 or c <= 0:
         raise ConfigurationError("h and c must be > 0", "example1.h")
     a = c * c / (h * h)
-    collected = np.vstack(map_replications(
-        partial(example1_collect, model, a, h, stream=stream), reps, workers))
+    collected = map_replications(
+        partial(example1_collect, model, a, h, stream=stream), reps)
     t_vals = collected[:, 0]
     covered = collected[:, 1].astype(bool)
     ok = collected[:, 2].astype(bool)
@@ -515,12 +514,11 @@ def example1_run(model: StaggeredExponentialModel, h: float, c: float,
         warnings.warn(f"{ncf:.1%} of trials never crossed", RuntimeWarning)
     if n_ok == 0:
         raise ContractViolationError("no trial crossed the boundary")
-    mean_t = float(np.mean(t_vals[ok]))
-    se_t = float(np.std(t_vals[ok], ddof=1) / math.sqrt(n_ok))
+    mean_t, se_t = mean_se(t_vals[ok])
     cov = float(np.mean(covered[ok]))
     se_cov = math.sqrt(max(cov * (1.0 - cov), 1e-12) / n_ok)
     constants = staggered_constants(model, backward_reps or reps, stream,
-                                    depth, workers)
+                                    depth)
     theory = (a + constants.rho - constants.nu - constants.lam) / constants.mu
     combined = math.hypot(se_t, math.hypot(constants.se_rho, constants.se_nu)
                           / constants.mu)
@@ -563,8 +561,7 @@ def example2_collect(model: StaggeredExponentialModel, a: float, horizon: int,
 
 
 def example2_run(model: StaggeredExponentialModel, a: float, reps: int,
-                 horizon: int, stream: RngStream,
-                 workers: int = 1) -> Example2Result:
+                 horizon: int, stream: RngStream) -> Example2Result:
     """Run the repeated likelihood-ratio test to the horizon.
 
     Under theta = 1 the rejection rate is the type-I-error proxy; under
@@ -575,17 +572,15 @@ def example2_run(model: StaggeredExponentialModel, a: float, reps: int,
                                  "statistic", "example2.g")
     if a <= 0:
         raise ConfigurationError("a must be > 0", "example2.a")
-    collected = np.vstack(map_replications(
-        partial(example2_collect, model, a, horizon, stream=stream), reps,
-        workers))
+    collected = map_replications(
+        partial(example2_collect, model, a, horizon, stream=stream), reps)
     t_vals = collected[:, 0]
     rejected = collected[:, 1].astype(bool)
     rate = float(np.mean(rejected))
     se_rate = math.sqrt(max(rate * (1.0 - rate), 1e-12) / reps)
     n_rej = int(rejected.sum())
     if n_rej >= 2:
-        mean_t = float(np.mean(t_vals[rejected]))
-        se_t = float(np.std(t_vals[rejected], ddof=1) / math.sqrt(n_rej))
+        mean_t, se_t = mean_se(t_vals[rejected])
     else:
         mean_t, se_t = math.nan, math.nan
     return Example2Result(a=a, horizon=horizon, reps=reps, theta=model.theta,
@@ -628,7 +623,7 @@ def _quantile(x: np.ndarray, q: float) -> float:
 
 def calibrate_lrt_boundary(arrival_rate: float, horizon: int, reps: int,
                            stream: RngStream, level: float = 0.05,
-                           n0: int = 1, workers: int = 1) -> float:
+                           n0: int = 1) -> float:
     """Choose a so that the unit-rate trial crosses within the horizon
     with probability about ``level`` (MC quantile of the running max,
     the maxima drawn on sub-stream stream_id + 5).
@@ -638,7 +633,7 @@ def calibrate_lrt_boundary(arrival_rate: float, horizon: int, reps: int,
     if not 0.0 < level < 1.0:
         raise ConfigurationError("level must be in (0,1)", "calibrate.level")
     calib = stream.with_stream(stream.stream_id + 5)
-    maxima = np.concatenate(map_replications(
+    maxima = map_replications(
         partial(calibrate_lrt_maxima, arrival_rate, horizon, stream=calib,
-                n0=n0), reps, workers))
+                n0=n0), reps)
     return _quantile(maxima, 1.0 - level)

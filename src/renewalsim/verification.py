@@ -19,11 +19,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, ContractViolationError
-from .first_passage import (PassageSamples, PathBlock, PerturbedWalkModel,
-                            RenewalConstants, block_length, collect_passage,
-                            estimate_rho_nu, excess_cdf_from_backward,
-                            experiment_backward, forward_kernel,
-                            map_levels, summarize_levels)
+from .first_passage import (PathBlock, PerturbedWalkModel, RenewalConstants,
+                            block_length, collect_passage, estimate_rho_nu,
+                            excess_cdf_from_backward, experiment_backward,
+                            forward_kernel, map_levels, mean_se,
+                            summarize_levels)
 from .mixture import mixture_cdf
 from .parallel import map_replications
 from .perturbation import zeta_window_path
@@ -121,13 +121,6 @@ class TheoremReport:
     @property
     def passed(self) -> bool:
         return abs(self.estimate - self.theory_value) <= 3.0 * self.std_error
-
-
-def _mean_se(values: np.ndarray) -> Tuple[float, float]:
-    m = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) \
-        if len(values) > 1 else math.inf
-    return m, se
 
 
 def sup_distance(cdf_at_sorted: np.ndarray) -> float:
@@ -233,8 +226,8 @@ def theorem1_counts(model: PerturbedWalkModel, B: EventPredicate, y: float,
 
 
 def theorem1_experiment(model: PerturbedWalkModel, B: EventPredicate, y: float,
-                        a: float, b: float, reps: int, stream: RngStream,
-                        workers: int = 1) -> TheoremReport:
+                        a: float, b: float, reps: int,
+                        stream: RngStream) -> TheoremReport:
     """Estimate the expected count of indices with (W_n in B, zeta_n <= y,
     a < Z_n <= a+b) and compare with (b/mu) * P[B] * L(y).
 
@@ -245,10 +238,9 @@ def theorem1_experiment(model: PerturbedWalkModel, B: EventPredicate, y: float,
     if b > model.mu:
         warnings.warn(f"width b={b} exceeds mu={model.mu}; the product-form "
                       f"limit is proved for b <= mu", RuntimeWarning)
-    counts = np.concatenate(map_replications(
-        partial(theorem1_counts, model, B, y, a, b, stream=stream), reps,
-        workers))
-    est, se_est = _mean_se(counts)
+    counts = map_replications(
+        partial(theorem1_counts, model, B, y, a, b, stream=stream), reps)
+    est, se_est = mean_se(counts)
     wins_stat, xi_stat = _stationary_xi_sample(
         model, max(reps, 10_000),
         stream.with_stream(stream.stream_id + 7), B.window_depth)
@@ -283,16 +275,15 @@ class Theorem3Result:
 def theorem3_experiment(model: PerturbedWalkModel, a: float, reps: int,
                         stream: RngStream,
                         backward_reps: Optional[int] = None,
-                        depth: Optional[int] = None,
-                        workers: int = 1) -> Theorem3Result:
+                        depth: Optional[int] = None) -> Theorem3Result:
     """Compare the stopped triple (R_a, xi, zeta) with its product-form limit.
 
     Checks: (i) the R_a marginal against the backward-functional CDF,
     (ii) the zeta marginal against the mixture CDF, (iii)
     factorization via correlations and a median-split quadrant count.
     """
-    samples = PassageSamples.concatenate(map_replications(
-        partial(collect_passage, model, a, stream=stream), reps, workers))
+    samples = map_replications(
+        partial(collect_passage, model, a, stream=stream), reps)
     ok = samples.crossed
     n = int(np.count_nonzero(ok))
     if n < reps:
@@ -301,8 +292,7 @@ def theorem3_experiment(model: PerturbedWalkModel, a: float, reps: int,
     R = samples.R[ok]
     xi = samples.xi[ok]
     zeta = samples.zeta[ok]
-    batch = experiment_backward(model, depth, backward_reps or reps, stream,
-                                workers)
+    batch = experiment_backward(model, depth, backward_reps or reps, stream)
     m = len(batch.inf_value)
     # (i) excess marginal vs backward-induced CDF on the R grid
     excess_dist = sup_distance(excess_cdf_from_backward(batch, np.sort(R)))
@@ -393,15 +383,14 @@ class Theorem4Result:
 def theorem4_experiment(model: PerturbedWalkModel, a_grid: Sequence[float],
                         reps: int, stream: RngStream,
                         depth: Optional[int] = None,
-                        backward_reps: Optional[int] = None,
-                        workers: int = 1) -> Theorem4Result:
+                        backward_reps: Optional[int] = None
+                        ) -> Theorem4Result:
     """Tabulate E(t_a) against the first-order expansion over a grid
     (constants from estimate_rho_nu, levels from summarize_levels)."""
     if len(a_grid) == 0:
         raise ConfigurationError("a_grid must be non-empty", "theorem4.a_grid")
-    constants = estimate_rho_nu(model, depth, backward_reps or reps, stream,
-                                workers)
-    summaries = summarize_levels(model, a_grid, reps, stream, workers)
+    constants = estimate_rho_nu(model, depth, backward_reps or reps, stream)
+    summaries = summarize_levels(model, a_grid, reps, stream)
     mu = constants.mu
     corr = constants.rho - constants.nu - constants.lam
     se_corr = math.hypot(constants.se_rho, constants.se_nu)
@@ -466,8 +455,8 @@ def lemma1_collect(model: PerturbedWalkModel, q: float, a: float, reps: int,
 
 
 def lemma1_diagnostic(model: PerturbedWalkModel, q: float,
-                      a_grid: Sequence[float], reps: int, stream: RngStream,
-                      workers: int = 1) -> Tuple[Lemma1Row, ...]:
+                      a_grid: Sequence[float], reps: int,
+                      stream: RngStream) -> Tuple[Lemma1Row, ...]:
     """Estimate the early-crossing mass Delta_0, the late-lag mass
     Delta_1 (width a^(1-q)/2), and the stopping tail sum
     E(t_a - M)_+ on a grid of levels.
@@ -477,14 +466,13 @@ def lemma1_diagnostic(model: PerturbedWalkModel, q: float,
     independent, as in ``map_levels``.
     """
     rows = []
-    for a, parts in zip(a_grid, map_levels(partial(lemma1_collect, model, q),
-                                           a_grid, reps, stream, workers)):
+    for a, vals in zip(a_grid, map_levels(partial(lemma1_collect, model, q),
+                                          a_grid, reps, stream)):
         a = float(a)
         wb = WindowBounds.for_level(q, a, model.mu)
-        vals = np.vstack(parts)
-        d0, s0 = _mean_se(vals[:, 0])
-        d1, s1 = _mean_se(vals[:, 1])
-        tl, stl = _mean_se(vals[:, 2])
+        d0, s0 = mean_se(vals[:, 0])
+        d1, s1 = mean_se(vals[:, 1])
+        tl, stl = mean_se(vals[:, 2])
         rows.append(Lemma1Row(a, wb.m, wb.M, d0, s0, d1, s1, tl, stl))
     return tuple(rows)
 
@@ -519,8 +507,8 @@ def lemma3_collect(model: PerturbedWalkModel, q: float, eps: float, a: float,
 
 
 def lemma3_diagnostic(model: PerturbedWalkModel, q: float, eps: float,
-                      a_grid: Sequence[float], reps: int, stream: RngStream,
-                      workers: int = 1) -> Tuple[Lemma3Row, ...]:
+                      a_grid: Sequence[float], reps: int,
+                      stream: RngStream) -> Tuple[Lemma3Row, ...]:
     """Expected count of indices n in (m, M] where the slowly-changing
     term and its windowed coupling differ by at least eps; levels are
     independent, as in ``map_levels``."""
@@ -529,12 +517,10 @@ def lemma3_diagnostic(model: PerturbedWalkModel, q: float, eps: float,
     if model.quadratic is None:
         return tuple(Lemma3Row(float(a), 0, 0, 0.0, 0.0) for a in a_grid)
     rows = []
-    for a, parts in zip(a_grid, map_levels(
-            partial(lemma3_collect, model, q, eps), a_grid, reps, stream,
-            workers)):
+    for a, counts in zip(a_grid, map_levels(
+            partial(lemma3_collect, model, q, eps), a_grid, reps, stream)):
         a = float(a)
         wb = WindowBounds.for_level(q, a, model.mu)
-        counts = np.concatenate(parts)
-        c, s = _mean_se(counts)
+        c, s = mean_se(counts)
         rows.append(Lemma3Row(a, wb.m, wb.M, c, s))
     return tuple(rows)

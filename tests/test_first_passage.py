@@ -6,14 +6,14 @@ import pytest
 from scipy import stats
 
 from renewalsim import (
-    BackwardBatch, IncrementLaw, PassageSamples, PerturbedWalkModel,
-    QuadraticSpec, RngStream, StationarySpec, VectorLaw,
-    backward_min_functional, collect_passage, constants_from_batch,
-    estimate_rho_nu, excess_cdf_from_backward,
-    recommended_backward_depth, residual_dip_probability, simulate_passage,
-    summarize_passage,
+    BackwardBatch, IncrementLaw, PerturbedWalkModel, QuadraticSpec,
+    RngStream, StationarySpec, VectorLaw, backward_min_functional,
+    collect_passage, constants_from_batch, estimate_rho_nu,
+    excess_cdf_from_backward, recommended_backward_depth,
+    residual_dip_probability, summarize_passage,
 )
 from renewalsim.errors import ConfigurationError
+from renewalsim.parallel import join_chunks
 from renewalsim.perturbation import ResidualSpec
 from renewalsim.staggered import staggered_backward_batch
 
@@ -58,11 +58,11 @@ def test_model_binds_vector_law(tm1_model):
 def test_simulate_passage_strict_crossing():
     law = IncrementLaw.deterministic(1.0)
     model = PerturbedWalkModel(increment_law=law)
-    out = simulate_passage(model, 3.0, RngStream(1))
-    assert out.crossed and out.t_a == 4 and out.R_a == pytest.approx(1.0)
+    out = collect_passage(model, 3.0, 1, RngStream(1))
+    assert out.crossed[0] and out.t[0] == 4 and out.R[0] == pytest.approx(1.0)
     late = PerturbedWalkModel(increment_law=law, n0=6)
-    out = simulate_passage(late, 3.0, RngStream(1))
-    assert out.t_a == 6 and out.R_a == pytest.approx(3.0)
+    out = collect_passage(late, 3.0, 1, RngStream(1))
+    assert out.t[0] == 6 and out.R[0] == pytest.approx(3.0)
 
 
 def test_classical_passage_oracle(plain_exp_model):
@@ -87,7 +87,7 @@ def test_constant_residual_shifts_the_level():
 
 def test_collect_passage_chunk_equivalence(tm1_model):
     whole = collect_passage(tm1_model, 12.0, 30, RngStream(5))
-    parts = PassageSamples.concatenate([
+    parts = join_chunks([
         collect_passage(tm1_model, 12.0, 10, RngStream(5)),
         collect_passage(tm1_model, 12.0, 20, RngStream(5), rep_offset=10),
     ])
@@ -190,7 +190,7 @@ def test_excess_cdf_matches_exponential():
 
 def test_backward_chunk_equivalence(tm1_model):
     whole = backward_min_functional(tm1_model, None, 25, RngStream(15))
-    parts = BackwardBatch.concatenate([
+    parts = join_chunks([
         backward_min_functional(tm1_model, None, 10, RngStream(15)),
         backward_min_functional(tm1_model, None, 15, RngStream(15),
                                 rep_offset=10),

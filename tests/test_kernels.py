@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from renewalsim import (BackwardBatch, EventPredicate, IncrementLaw,
-                        PassageSamples, PerturbedWalkModel, QuadraticSpec,
-                        RngStream, StationarySpec, VectorLaw,
-                        backward_min_functional, collect_passage)
+from renewalsim import (EventPredicate, IncrementLaw, PassageSamples,
+                        PerturbedWalkModel, QuadraticSpec, RngStream,
+                        StationarySpec, VectorLaw, backward_min_functional,
+                        collect_passage)
+from renewalsim.parallel import join_chunks
 from renewalsim.perturbation import ResidualSpec
 from renewalsim.staggered import staggered_backward_batch
 from renewalsim.verification import (lemma1_collect, lemma3_collect,
@@ -155,7 +156,7 @@ def test_forward_chunk_equivalence(models, tm1_model):
         whole, parts = _split(
             lambda n, off: collect_passage(model, a, n, STREAM, off),
             reps, cut)
-        joined = PassageSamples.concatenate(list(parts))
+        joined = join_chunks(list(parts))
         for field in ("t", "R", "xi", "zeta", "crossed"):
             assert np.array_equal(getattr(whole, field),
                                   getattr(joined, field), equal_nan=True)
@@ -168,7 +169,7 @@ def test_forward_chunk_equivalence(models, tm1_model):
             (lambda n, off: lemma3_collect(tm1_model, 0.4, 0.05, 200.0, n,
                                            STREAM, off), 400)):
         whole, parts = _split(collect, reps, 237)
-        assert np.array_equal(whole, np.concatenate(parts))
+        assert np.array_equal(whole, join_chunks(list(parts)))
 
 
 def test_backward_chunk_equivalence_across_sub_batches(tm1_model, fwci_model):
@@ -178,7 +179,7 @@ def test_backward_chunk_equivalence_across_sub_batches(tm1_model, fwci_model):
             (lambda n, off: staggered_backward_batch(fwci_model, n, STREAM,
                                                      rep_offset=off), 150, 37)):
         whole, parts = _split(collect, reps, cut)
-        joined = BackwardBatch.concatenate(list(parts))
+        joined = join_chunks(list(parts))
         for field in ("inf_value", "xi0", "first_value", "attained_index",
                       "truncated"):
             assert np.array_equal(getattr(whole, field),
