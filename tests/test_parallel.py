@@ -4,8 +4,8 @@ from functools import partial
 
 import numpy as np
 
-from renewalsim import IncrementLaw, PerturbedWalkModel, RngStream, \
-    collect_passage
+from renewalsim import (IncrementLaw, PerturbedWalkModel, RngStream,
+                        collect_passage)
 from renewalsim.parallel import CHUNK_REPS, map_replications, shared_pool
 
 
