@@ -50,8 +50,7 @@ def _resolve_y(model, y):
             return math.inf
         mix = model.mixture()
         if mix is None:
-            return model.residual.value \
-                if model.residual.kind == "constant" else 0.0
+            return model.residual.value
         return mixture_quantile(mix, 0.5)
     return float(y)
 

@@ -93,17 +93,17 @@ class PerturbedWalkModel:
             return None
         return self.vector_law.cov(self.increment_law)
 
-    def mixture(self, cdf_tolerance: float = 1e-6) -> Optional[ChiSquareMixture]:
-        """Limit law of the quadratic term; None when Q is absent/zero."""
-        if self.quadratic is None or not np.any(self.quadratic.Q):
+    def mixture(self) -> Optional[ChiSquareMixture]:
+        """Limit law of the quadratic term; None when Q is absent."""
+        if self.quadratic is None:
             return None
-        return mixture_weights(self.quadratic, self.covariance(), cdf_tolerance)
+        return mixture_weights(self.quadratic, self.covariance())
 
     def mixture_mean_value(self) -> float:
         mix = self.mixture()
         return 0.0 if mix is None else mix.mean
 
-    def xi_slack(self, stream: Optional[RngStream] = None) -> float:
+    def xi_slack(self, stream: RngStream) -> float:
         """|mean| + 10 sd of the stationary term, for early-exit margins."""
         if self.stationary.kind == "zero":
             return 0.0
@@ -114,8 +114,7 @@ class PerturbedWalkModel:
                 / (1.0 - self.stationary.beta)
             mean = self.increment_law.mean * geom - self.stationary.centering
             return abs(mean) + 10.0 * sd
-        base = stream if stream is not None else RngStream(0x5EED)
-        gen = base.with_stream(base.stream_id + 101).generator()
+        gen = stream.with_stream(stream.stream_id + 101).generator()
         D = max(self.stationary.depth, 1)
         w = self.increment_law.sample(gen, 4096 + D)
         xi = self.stationary.xi(w)[1:]  # xi_1..xi_4096
@@ -538,7 +537,6 @@ class RenewalConstants:
     se_rho: float
     se_nu: float
     reps: int
-    methods: Tuple[Tuple[str, str], ...] = ()
     flags: Tuple[str, ...] = ()
 
     @property
@@ -586,11 +584,7 @@ def constants_from_batch(batch: BackwardBatch, mu: float, sigma2: float,
         flags.append("depth_truncated")
     return RenewalConstants(
         mu=mu, sigma2=sigma2, rho=rho, nu=nu, lam=lam,
-        se_rho=se_rho, se_nu=se_nu, reps=batch.reps,
-        methods=(("mu", "analytic"), ("sigma2", "analytic"),
-                 ("rho", "backward-mc"), ("nu", "backward-mc"),
-                 ("lam", "eigen-trace")),
-        flags=tuple(flags))
+        se_rho=se_rho, se_nu=se_nu, reps=batch.reps, flags=tuple(flags))
 
 
 def backward_stream(stream: RngStream) -> RngStream:

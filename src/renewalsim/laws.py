@@ -2,15 +2,15 @@
 
 The driving variables ``W_k`` are i.i.d. scalar draws from an
 :class:`IncrementLaw`.  The walk increments are ``X_k = W_k`` and the
-mean-zero vector increments ``Y_k`` are produced from ``W_k`` (or from
-independent noise) by a :class:`VectorLaw`.
+mean-zero vector increments ``Y_k`` come from a :class:`VectorLaw`:
+``centered_x`` maps ``W_k`` itself, ``gaussian`` draws independent noise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ class IncrementLaw:
     Supported families: ``exponential(rate)``, ``gamma(shape, rate)``,
     ``normal(mean, sd)``, ``uniform(lo, hi)``, ``deterministic(value)``
     and ``quantile_table(values)``.  The deterministic family is
-    arithmetic (lattice) and is admitted for exact-value oracle tests
-    only; it carries ``oracle_only=True``.
+    arithmetic (lattice); the tests use it for exact-value oracles.
     """
 
     kind: str
@@ -167,15 +166,6 @@ class IncrementLaw:
             return p[0]
         return float(p[0])
 
-    @property
-    def is_arithmetic(self) -> bool:
-        return self.kind == "deterministic"
-
-    @property
-    def oracle_only(self) -> bool:
-        """Arithmetic laws are admitted for exact-value oracle tests only."""
-        return self.is_arithmetic
-
     # -- sampling / quantiles -----------------------------------------
 
     def sample(self, gen: np.random.Generator, n: int,
@@ -237,7 +227,6 @@ class CovarianceEstimate:
     """Symmetric PSD covariance of the vector increments Y_1."""
 
     matrix: np.ndarray
-    source: str = "analytic"
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
@@ -251,46 +240,33 @@ class CovarianceEstimate:
     def d(self) -> int:
         return self.matrix.shape[0]
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
 
 @dataclass(frozen=True)
 class VectorLaw:
     """Mean-zero d-dimensional increments Y_k.
 
-    ``centered_x``: Y_k = coeffs * (W_k - center), a deterministic map of
-    the driving variable (covariance is analytic).
+    ``centered_x``: Y_k = coeffs * (W_k - E W), a deterministic map of
+    the driving variable; ``bind`` fills E W and Var W from the W law.
     ``gaussian``: Y_k ~ N(0, cov), drawn independently of W_k.
-    ``custom``: Y_k = fn(W_k) row-wise; covariance estimated empirically.
+    Both covariances are analytic.
     """
 
     kind: str
     coeffs: Optional[Tuple[float, ...]] = None
     cov_matrix: Optional[np.ndarray] = None
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dim: int = 1
     center: Optional[float] = None
     w_variance: Optional[float] = None
-    empirical_n: int = 200_000
 
     @staticmethod
-    def centered_x(coeffs=(1.0,), center: Optional[float] = None,
-                   w_variance: Optional[float] = None) -> "VectorLaw":
+    def centered_x(coeffs=(1.0,)) -> "VectorLaw":
         c = tuple(float(v) for v in coeffs)
-        return VectorLaw("centered_x", coeffs=c, dim=len(c), center=center,
-                         w_variance=w_variance)
+        return VectorLaw("centered_x", coeffs=c, dim=len(c))
 
     @staticmethod
     def gaussian(cov) -> "VectorLaw":
         m = np.atleast_2d(np.asarray(cov, dtype=float))
         return VectorLaw("gaussian", cov_matrix=m, dim=m.shape[0])
-
-    @staticmethod
-    def custom(fn: Callable[[np.ndarray], np.ndarray], dim: int,
-               cov=None) -> "VectorLaw":
-        m = None if cov is None else np.atleast_2d(np.asarray(cov, dtype=float))
-        return VectorLaw("custom", fn=fn, dim=dim, cov_matrix=m)
 
     @property
     def d(self) -> int:
@@ -300,12 +276,7 @@ class VectorLaw:
         """Fill centering/variance of a centered_x law from the W law."""
         if self.kind != "centered_x":
             return self
-        out = self
-        if out.center is None:
-            out = replace(out, center=law.mean)
-        if out.w_variance is None:
-            out = replace(out, w_variance=law.variance)
-        return out
+        return replace(self, center=law.mean, w_variance=law.variance)
 
     def materialize(self, w: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         """Vector increments for driving values ``w`` of any shape, shape
@@ -316,36 +287,17 @@ class VectorLaw:
                 raise ConfigurationError("centered_x law is unbound; call bind()",
                                          "vector.center")
             return (w - self.center)[..., None] * np.asarray(self.coeffs)
-        if self.kind == "gaussian":
-            chol = np.linalg.cholesky(
-                self.cov_matrix + 1e-15 * np.eye(self.dim))
-            return gen.standard_normal(np.shape(w) + (self.dim,)) @ chol.T
-        out = np.atleast_2d(np.asarray(self.fn(np.ravel(w)), dtype=float))
-        if out.shape != (np.size(w), self.dim):
-            raise ConfigurationError(
-                f"custom map returned shape {out.shape}, expected "
-                f"{(np.size(w), self.dim)}", "vector.fn")
-        return out.reshape(np.shape(w) + (self.dim,))
+        chol = np.linalg.cholesky(
+            self.cov_matrix + 1e-15 * np.eye(self.dim))
+        return gen.standard_normal(np.shape(w) + (self.dim,)) @ chol.T
 
-    def cov(self, law: Optional[IncrementLaw] = None,
-            stream=None) -> CovarianceEstimate:
-        """Covariance of Y_1: analytic when possible, else empirical."""
+    def cov(self, law: Optional[IncrementLaw] = None) -> CovarianceEstimate:
+        """Covariance of Y_1."""
         if self.kind == "centered_x":
             bound = self.bind(law) if law is not None else self
             if bound.w_variance is None:
                 raise ConfigurationError("centered_x law is unbound; call bind()",
                                          "vector.w_variance")
             c = np.asarray(bound.coeffs)
-            return CovarianceEstimate(bound.w_variance * np.outer(c, c), "analytic")
-        if self.kind == "gaussian":
-            return CovarianceEstimate(self.cov_matrix, "analytic")
-        if self.cov_matrix is not None:
-            return CovarianceEstimate(self.cov_matrix, "analytic")
-        if law is None or stream is None:
-            raise ConfigurationError(
-                "custom vector law needs (law, stream) to estimate covariance",
-                "vector.cov")
-        gen = stream.generator()
-        y = self.materialize(law.sample(gen, self.empirical_n), gen)
-        return CovarianceEstimate(np.cov(y.T, bias=False).reshape(self.dim, self.dim),
-                                  f"empirical(n={self.empirical_n})")
+            return CovarianceEstimate(bound.w_variance * np.outer(c, c))
+        return CovarianceEstimate(self.cov_matrix)

@@ -2,8 +2,8 @@
 
 The quadratic perturbation converges in law to sum_i lambda_i * V_i with
 V_i independent chi-square(1).  This module identifies the weights from
-(Q, Sigma), evaluates the mixture CDF, and exposes the mean
-sum_i lambda_i.
+(Q, Sigma), evaluates the mixture CDF to a fixed 1e-6
+(``_CDF_TOLERANCE``), and exposes the mean sum_i lambda_i.
 
 Which method evaluates the CDF depends on the signs of the nonzero
 weights, never on the evaluation points:
@@ -21,7 +21,7 @@ weights, never on the evaluation points:
   every z, including z -> 0, where the inversion below misses its
   tolerance.  Weights of one negative sign use the reflection
   F(z) = 1 - F_{-lambda}(-z).  Widely spread weights need many terms
-  (about 13 * max/min at the default tolerance); past ``_MAX_TERMS``,
+  (about 13 * max/min at ``_CDF_TOLERANCE``); past ``_MAX_TERMS``,
   a spread of about 300, the series is left to the inversion.
 * Mixed signs: the series has no nonnegative form and so no such error
   bound, so the CDF is found point by point by numerical inversion of
@@ -54,6 +54,8 @@ from .laws import CovarianceEstimate
 from .perturbation import QuadraticSpec
 from .rng import RngStream
 
+# Error bound of every value mixture_cdf returns.
+_CDF_TOLERANCE = 1e-6
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _MAX_LOBES = 200_000
 # Series terms past which a one-signed mixture goes to the inversion: at
@@ -71,7 +73,6 @@ class ChiSquareMixture:
     """Mixture sum_i weights[i] * chi2_1 with independent components."""
 
     weights: Tuple[float, ...]
-    cdf_tolerance: float = 1e-6
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
@@ -80,9 +81,6 @@ class ChiSquareMixture:
                                      "mixture.weights")
         if any(not math.isfinite(v) for v in w):
             raise ConfigurationError("weights must be finite", "mixture.weights")
-        if self.cdf_tolerance <= 0:
-            raise ConfigurationError("cdf_tolerance must be > 0",
-                                     "mixture.cdf_tolerance")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -90,8 +88,8 @@ class ChiSquareMixture:
         return float(sum(self.weights))
 
 
-def mixture_weights(Q: QuadraticSpec, sigma: CovarianceEstimate,
-                    cdf_tolerance: float = 1e-6) -> ChiSquareMixture:
+def mixture_weights(Q: QuadraticSpec,
+                    sigma: CovarianceEstimate) -> ChiSquareMixture:
     """Identify the mixture weights as eigenvalues of S^{1/2} Q S^{1/2}.
 
     The vector partial sums satisfy T_n/sqrt(n) => N(0, Sigma), so the
@@ -112,7 +110,7 @@ def mixture_weights(Q: QuadraticSpec, sigma: CovarianceEstimate,
     if abs(float(w.sum()) - tr) > 1e-12 * max(1.0, abs(tr)):
         raise NumericError(
             f"weight sum {w.sum():.16e} disagrees with trace {tr:.16e}")
-    return ChiSquareMixture(tuple(float(v) for v in w), cdf_tolerance)
+    return ChiSquareMixture(tuple(float(v) for v in w))
 
 
 # -- root finding ------------------------------------------------------
@@ -411,16 +409,16 @@ def _series_cdf(lams: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def mixture_cdf(mix: ChiSquareMixture, z):
-    """L(z) = P[sum_i weights[i] * chi2_1 <= z], to cdf_tolerance.
+    """L(z) = P[sum_i weights[i] * chi2_1 <= z], to 1e-6 (_CDF_TOLERANCE).
 
     Accepts a scalar (returns a float) or an array of evaluation points.
     When the nonzero weights share one sign, every point comes from one
     truncated Ruben series whose truncation error is bounded by
-    cdf_tolerance / 4 (see the module docstring); mixed-sign weights, and
+    _CDF_TOLERANCE / 4 (see the module docstring); mixed-sign weights, and
     one-signed weights spread so widely that the series would need more
     than _MAX_TERMS terms, are inverted point by point.
     """
-    tol = 0.25 * mix.cdf_tolerance
+    tol = 0.25 * _CDF_TOLERANCE
     zs = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zs)):
         raise ConfigurationError("z must be finite", "mixture_cdf.z")

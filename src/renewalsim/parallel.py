@@ -21,6 +21,8 @@ from typing import Callable, Iterator, List
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 CHUNK_REPS = 1024
 
 _workers = 0   # pool size of the open shared_pool block, 0 outside one
@@ -87,6 +89,9 @@ def map_replications(fn: Callable, reps: int):
     warnings of each chunk are raised again here, in chunk order.
     """
     global _pool
+    if reps < 1:
+        raise ConfigurationError(f"reps must be >= 1, got {reps}",
+                                 "map_replications.reps")
     offsets = range(0, reps, CHUNK_REPS)
     counts = [min(CHUNK_REPS, reps - off) for off in offsets]
     if _workers <= 1 or len(counts) <= 1:

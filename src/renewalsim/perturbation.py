@@ -129,13 +129,13 @@ class StationarySpec:
             return 1
         return self.truncation_depth
 
-    def centered(self, law: IncrementLaw, quad_points: int = 4096) -> "StationarySpec":
+    def centered(self, law: IncrementLaw) -> "StationarySpec":
         """Return a copy whose centering equals the stationary mean of the
         truncated sum, so E xi_n = 0 (zero/staggered kinds are unchanged).
 
         E h(W) is the law's mean for ``identity`` and variance + mean^2
-        for ``square``; any other map is averaged over ``quad_points``
-        midpoint quantiles of the law."""
+        for ``square``; any other map is averaged over 4096 midpoint
+        quantiles of the law."""
         if self.kind not in ("instantaneous", "geometric_ma"):
             return self
         if self.h == "identity":
@@ -143,7 +143,7 @@ class StationarySpec:
         elif self.h == "square":
             h_mean = law.variance + law.mean ** 2
         else:
-            q = (np.arange(quad_points) + 0.5) / quad_points
+            q = (np.arange(4096) + 0.5) / 4096
             h_mean = float(np.mean(_resolve_map(self.h)(law.ppf(q))))
         if self.kind == "instantaneous":
             return replace(self, centering=h_mean)
@@ -236,10 +236,10 @@ class StationarySpec:
 
 @dataclass(frozen=True)
 class QuadraticSpec:
-    """Symmetric quadratic form Q driving zeta'_n = T_n' Q T_n / n."""
+    """Symmetric quadratic form Q, not identically zero, driving
+    zeta'_n = T_n' Q T_n / n."""
 
     Q: np.ndarray
-    allow_zero: bool = False
 
     def __post_init__(self):
         q = np.atleast_2d(np.asarray(self.Q, dtype=float))
@@ -247,10 +247,8 @@ class QuadraticSpec:
             raise ConfigurationError("Q must be square", "quadratic.Q")
         if not np.allclose(q, q.T, atol=1e-12 * (1.0 + np.abs(q).max())):
             raise ConfigurationError("Q must be symmetric", "quadratic.Q")
-        if not self.allow_zero and not np.any(q):
-            raise ConfigurationError(
-                "Q is identically zero (set allow_zero for oracle tests)",
-                "quadratic.Q")
+        if not np.any(q):
+            raise ConfigurationError("Q is identically zero", "quadratic.Q")
         object.__setattr__(self, "Q", q)
 
     @property
@@ -258,14 +256,14 @@ class QuadraticSpec:
         return self.Q.shape[0]
 
 
-def zeta_quadratic_path(vector_sums: np.ndarray, spec: QuadraticSpec,
-                        n0: int = 1) -> np.ndarray:
-    """Vectorized zeta'_n for n = n0..N from (..., N, d) partial sums."""
+def zeta_quadratic_path(vector_sums: np.ndarray,
+                        spec: QuadraticSpec) -> np.ndarray:
+    """Vectorized zeta'_n for n = 1..N from (..., N, d) partial sums."""
     T = np.atleast_2d(np.asarray(vector_sums, dtype=float))
     if T.shape[-1] != spec.d:
         raise ConfigurationError("vector dimension mismatch", "zeta.path")
-    quad = np.einsum("...i,ij,...j->...", T, spec.Q, T)[..., n0 - 1:]
-    quad /= np.arange(n0, T.shape[-2] + 1, dtype=float)
+    quad = np.einsum("...i,ij,...j->...", T, spec.Q, T)
+    quad /= np.arange(1, T.shape[-2] + 1, dtype=float)
     return quad
 
 

@@ -61,13 +61,11 @@ class GStatistic:
     g02: Callable
 
     def __post_init__(self):
-        if self.kind not in ("fixed_width_ci", "repeated_lrt", "custom"):
+        if self.kind not in ("fixed_width_ci", "repeated_lrt"):
             raise ConfigurationError(f"unknown kind {self.kind!r}", "g.kind")
 
     def __reduce_ex__(self, protocol):
-        # a built-in statistic pickles (to workers) as its constructor
-        if self.kind == "custom":
-            return super().__reduce_ex__(protocol)
+        # a statistic pickles (to workers) as its constructor
         return getattr(GStatistic, self.kind), ()
 
     @staticmethod
@@ -95,11 +93,6 @@ class GStatistic:
             g20=lambda x, y: 1.0 / x,
             g11=lambda x, y: -1.0 / y,
             g02=lambda x, y: x / y ** 2)
-
-    @staticmethod
-    def custom(g: Callable, g10: Callable, g01: Callable, g20: Callable,
-               g11: Callable, g02: Callable) -> "GStatistic":
-        return GStatistic("custom", g, g10, g01, g20, g11, g02)
 
     def values_at(self, theta: float) -> GDerivatives:
         """Evaluate g and its partials at the centering point (1, 1/theta)."""

@@ -60,10 +60,6 @@ def _all_paths(windows, xi):
     return np.ones(len(xi), dtype=bool)
 
 
-def _no_path(windows, xi):
-    return np.zeros(len(xi), dtype=bool)
-
-
 def _xi_at_most(c, windows, xi):
     return xi <= c
 
@@ -85,10 +81,6 @@ class EventPredicate:
     @staticmethod
     def always_true() -> "EventPredicate":
         return EventPredicate("all paths", 0, _all_paths)
-
-    @staticmethod
-    def never() -> "EventPredicate":
-        return EventPredicate("impossible event", 0, _no_path)
 
     @staticmethod
     def xi_leq(c: float) -> "EventPredicate":
@@ -183,8 +175,7 @@ def _zeta_limit_cdf(model: PerturbedWalkModel, y: float) -> float:
     """CDF of the limiting slowly-changing term at y."""
     mix = model.mixture()
     if mix is None:
-        base = model.residual.value if model.residual.kind == "constant" else 0.0
-        return 1.0 if y >= base else 0.0
+        return 1.0 if y >= model.residual.value else 0.0
     if math.isinf(y):
         return 1.0 if y > 0 else 0.0
     return float(mixture_cdf(mix, y))
@@ -260,11 +251,6 @@ class Theorem3Result:
     a: float
     reps: int
     reports: Tuple[TheoremReport, ...]
-    excess_distance: float
-    zeta_distance: float
-    corr_zeta_R: float
-    corr_zeta_xi: float
-    quadrant_chi2: float
     non_crossing_fraction: float
 
     @property
@@ -317,11 +303,9 @@ def theorem3_experiment(model: PerturbedWalkModel, a: float, reps: int,
             return 0.0
         return float(np.corrcoef(u, v)[0, 1])
 
-    c_zr = corr(zeta, R)
-    c_zx = corr(zeta, xi)
-    reports.append(TheoremReport("corr(zeta, R)", c_zr, 0.0,
+    reports.append(TheoremReport("corr(zeta, R)", corr(zeta, R), 0.0,
                                  1.0 / math.sqrt(n), n))
-    reports.append(TheoremReport("corr(zeta, xi)", c_zx, 0.0,
+    reports.append(TheoremReport("corr(zeta, xi)", corr(zeta, xi), 0.0,
                                  1.0 / math.sqrt(n), n))
     if np.std(zeta) > 0 and np.std(R) > 0:
         az = zeta > _median(zeta)
@@ -336,8 +320,7 @@ def theorem3_experiment(model: PerturbedWalkModel, a: float, reps: int,
     # 99th percentile of chi-square(1) = 6.635
     reports.append(TheoremReport("quadrant chi-square", chi2, 0.0,
                                  6.635 / 3.0, n))
-    return Theorem3Result(a, reps, tuple(reports), excess_dist, zeta_dist,
-                          c_zr, c_zx, chi2, 1.0 - n / reps)
+    return Theorem3Result(a, reps, tuple(reports), 1.0 - n / reps)
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,6 @@ def test_backward_deterministic_constants():
     assert consts.rho == pytest.approx(0.5)
     assert consts.nu == 0.0
     assert consts.consistent
-    assert dict(consts.methods)["rho"] == "backward-mc"
 
 
 def test_constants_from_batch_arithmetic():

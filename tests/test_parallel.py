@@ -3,9 +3,12 @@ import warnings
 from functools import partial
 
 import numpy as np
+import pytest
 
 from renewalsim import (IncrementLaw, PerturbedWalkModel, RngStream,
-                        collect_passage)
+                        calibrate_lrt_boundary, collect_passage,
+                        estimate_rho_nu, summarize_levels)
+from renewalsim.errors import ConfigurationError
 from renewalsim.parallel import CHUNK_REPS, map_replications, shared_pool
 
 
@@ -57,3 +60,14 @@ def test_map_replications_starts_no_pool_without_workers(monkeypatch):
     assert started == []
     assert np.array_equal(outside, np.arange(reps))
     assert np.array_equal(inside, np.arange(reps))
+
+
+def test_zero_reps_is_a_configuration_error():
+    model = PerturbedWalkModel(increment_law=IncrementLaw.exponential(1.0))
+    stream = RngStream(3)
+    for call in (lambda: map_replications(_indices, 0),
+                 lambda: summarize_levels(model, [5.0], 0, stream),
+                 lambda: estimate_rho_nu(model, None, 0, stream),
+                 lambda: calibrate_lrt_boundary(1.0, 50, 0, stream)):
+        with pytest.raises(ConfigurationError, match="reps must be >= 1"):
+            call()

@@ -88,9 +88,9 @@ def test_centered_integrates_other_maps_over_the_quantiles(monkeypatch):
     ppf = IncrementLaw.ppf
     monkeypatch.setattr(IncrementLaw, "ppf",
                         lambda self, q: calls.append(len(q)) or ppf(self, q))
-    spec = StationarySpec.instantaneous("abs").centered(law, quad_points=512)
-    q = (np.arange(512) + 0.5) / 512
-    assert calls == [512]
+    spec = StationarySpec.instantaneous("abs").centered(law)
+    q = (np.arange(4096) + 0.5) / 4096
+    assert calls == [4096]
     assert spec.centering == float(np.mean(np.abs(ppf(law, q))))
 
 
@@ -220,7 +220,6 @@ def test_quadratic_spec_validation():
         QuadraticSpec(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ConfigurationError):
         QuadraticSpec(np.zeros((2, 2)))
-    assert QuadraticSpec(np.zeros((2, 2)), allow_zero=True).d == 2
     assert QuadraticSpec(np.array([[0.5]])).d == 1
 
 
@@ -233,8 +232,8 @@ def test_zeta_quadratic_scalar_and_path():
         zeta_quadratic(np.array([3.0, 1.0]), 2, spec)
     T = RngStream(12).generator().standard_normal((30, 1))
     sums = np.cumsum(T, axis=0)
-    path = zeta_quadratic_path(sums, spec, n0=3)
-    direct = [zeta_quadratic(sums[n - 1], n, spec) for n in range(3, 31)]
+    path = zeta_quadratic_path(sums, spec)
+    direct = [zeta_quadratic(sums[n - 1], n, spec) for n in range(1, 31)]
     assert np.allclose(path, direct, rtol=1e-12)
 
 

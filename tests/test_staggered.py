@@ -14,8 +14,8 @@ from renewalsim.errors import (
     ConfigurationError, ContractViolationError, StatisticUndefinedError,
 )
 from renewalsim.staggered import (
-    _quantile, calibrate_lrt_maxima, example1_collect, example2_collect,
-    staggered_backward_batch,
+    _quantile, _trajectory, calibrate_lrt_maxima, example1_collect,
+    example2_collect, staggered_backward_batch,
 )
 
 
@@ -128,19 +128,14 @@ def test_trajectory_matches_per_state_recompute(fwci_model):
 def test_trajectory_counts_ties_like_per_state():
     # patients 2 and 4 arrive at tau_1 = 1 and tau_3 = 2 with zero
     # lifetimes: each is dead at its own arrival, but not counted at an
-    # earlier analysis time with the same clock value; g = x and g = y
-    # read K_j and T*_j off the trajectory
+    # earlier analysis time with the same clock value
     state = TrialState.from_data([0.0, 1.0, 1.0, 2.0, 3.0],
                                  [1.0, 0.0, 0.5, 0.0])
-    zero = lambda x, y: 0.0 * x
-    K = statistic_trajectory(state, GStatistic.custom(
-        lambda x, y: x, *([zero] * 5)))
-    T = statistic_trajectory(state, GStatistic.custom(
-        lambda x, y: y, *([zero] * 5)))
-    assert list(np.rint(K)) == [1, 2, 3, 4]
+    K, T, _ = _trajectory(state.tau, state.L, GStatistic.fixed_width_ci())
+    assert list(K) == [1, 2, 3, 4]
     for j in range(1, state.n + 1):
         ref = TrialState.from_data(state.tau[: j + 1], state.L[:j])
-        assert np.rint(K[j - 1]) == ref.K_n
+        assert K[j - 1] == ref.K_n
         assert abs(T[j - 1] - ref.T_star) <= 1e-12
 
 
