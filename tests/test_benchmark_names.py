@@ -2,15 +2,17 @@
 
 The benchmark under ``perfbench/`` imports names from renewalsim, calls
 them as attributes (``rs.collect_passage``, ``cli.main``), and wraps the
-functions that ``spans.TRACED`` lists by looking each one up by name; a
-name that is gone breaks a benchmark run, which no other test runs.  The
-names are read from the benchmark's source with ``ast``: ``spans`` is not
-imported, since importing it loads ``multiprocessing``.
+functions that ``spans.TRACED`` lists by looking each one up by name.  A
+name that is gone breaks a benchmark run, and the rest of the suite makes
+no such run.  The names are read from the benchmark's source with
+``ast``: ``spans`` is not imported, since importing it loads
+``multiprocessing``.
 """
 
 import ast
 import importlib
 from pathlib import Path
+from types import ModuleType
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,14 +51,15 @@ def _reached_names(tree: ast.Module) -> set:
 def _resolves(module: str, dotted: str) -> bool:
     obj = importlib.import_module(module)
     for part in dotted.split("."):
-        if hasattr(obj, part):
-            obj = getattr(obj, part)
-            continue
-        # a submodule the package does not import itself, such as cli
-        try:
-            obj = importlib.import_module(f"{obj.__name__}.{part}")
-        except (AttributeError, ModuleNotFoundError):
+        if isinstance(obj, ModuleType) and not hasattr(obj, part):
+            # a submodule the package does not import itself, such as cli
+            try:
+                importlib.import_module(f"{obj.__name__}.{part}")
+            except ModuleNotFoundError:
+                return False
+        if not hasattr(obj, part):
             return False
+        obj = getattr(obj, part)
     return True
 
 
