@@ -182,7 +182,8 @@ def _run_example_fwci(cfg, model, stream) -> RunOutput:
               "combined_se", "expansion_passed", "non_crossing_fraction")
     rows = [[res.a, res.half_width, cfg.c, res.reps, res.mean_t, res.se_t,
              res.coverage, res.se_coverage, res.nominal_coverage,
-             res.theory_Et, res.combined_se, res.expansion_passed,
+             res.expansion.theory_value, res.expansion.std_error,
+             res.expansion.passed,
              res.non_crossing_fraction]]
     flags = list(res.constants.flags)
     if res.non_crossing_fraction > 0.01:

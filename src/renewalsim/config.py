@@ -20,10 +20,18 @@ from .first_passage import PerturbedWalkModel
 from .perturbation import QuadraticSpec, ResidualSpec, StationarySpec
 from .staggered import GStatistic, StaggeredExponentialModel
 
-EXPERIMENT_KINDS = (
-    "simulate", "constants", "verify-thm1", "verify-thm3", "verify-thm4",
-    "diag-lemma1", "diag-lemma3", "example-fwci", "example-rst",
-)
+# kind -> (model kind it runs on, None for either; fields it needs, in order)
+EXPERIMENT_KINDS = {
+    "simulate": ("perturbed_walk", ("a_grid",)),
+    "constants": (None, ()),
+    "verify-thm1": ("perturbed_walk", ("a", "b", "y", "predicate")),
+    "verify-thm3": ("perturbed_walk", ("a",)),
+    "verify-thm4": ("perturbed_walk", ("a_grid",)),
+    "diag-lemma1": ("perturbed_walk", ("a_grid",)),
+    "diag-lemma3": ("perturbed_walk", ("a_grid",)),
+    "example-fwci": ("staggered", ("h", "c")),
+    "example-rst": ("staggered", ("horizon",)),
+}
 
 _LAW_PARAMS = {
     "exponential": ("rate",),
@@ -390,34 +398,12 @@ def validate_for_kind(cfg: ExperimentConfig) -> None:
     """Cross-field checks: the kind must be runnable with what the
     config provides.  Raises before any sampling happens."""
     mkind = cfg.model_kind()
-    if cfg.kind in ("example-fwci", "example-rst"):
-        if mkind != "staggered":
-            raise ConfigurationError(
-                f"{cfg.kind} needs a staggered model", "config.model.kind")
-    elif cfg.kind != "constants" and mkind != "perturbed_walk":
-        raise ConfigurationError(
-            f"{cfg.kind} needs a perturbed_walk model", "config.model.kind")
-    if cfg.kind in ("simulate", "verify-thm4", "diag-lemma1", "diag-lemma3"):
-        if cfg.a_grid is None:
-            raise ConfigurationError(f"{cfg.kind} needs a_grid",
-                                     "config.a_grid")
-    if cfg.kind == "verify-thm1":
-        for name in ("a", "b"):
-            if getattr(cfg, name) is None:
-                raise ConfigurationError(f"verify-thm1 needs {name}",
-                                         f"config.{name}")
-        if cfg.y is None:
-            raise ConfigurationError("verify-thm1 needs y", "config.y")
-        if cfg.predicate is None:
-            raise ConfigurationError("verify-thm1 needs predicate",
-                                     "config.predicate")
-    if cfg.kind == "verify-thm3" and cfg.a is None:
-        raise ConfigurationError("verify-thm3 needs a", "config.a")
-    if cfg.kind == "example-fwci":
-        for name in ("h", "c"):
-            if getattr(cfg, name) is None:
-                raise ConfigurationError(f"example-fwci needs {name}",
-                                         f"config.{name}")
-    if cfg.kind == "example-rst" and cfg.horizon is None:
-        raise ConfigurationError("example-rst needs horizon", "config.horizon")
+    needed_kind, fields = EXPERIMENT_KINDS[cfg.kind]
+    if needed_kind not in (None, mkind):
+        raise ConfigurationError(f"{cfg.kind} needs a {needed_kind} model",
+                                 "config.model.kind")
+    for name in fields:
+        if getattr(cfg, name) is None:
+            raise ConfigurationError(f"{cfg.kind} needs {name}",
+                                     f"config.{name}")
     build_model(cfg)

@@ -258,6 +258,11 @@ class VectorLaw:
     center: Optional[float] = None
     w_variance: Optional[float] = None
 
+    def __post_init__(self):
+        if self.kind not in ("centered_x", "gaussian"):
+            raise ConfigurationError(f"unknown kind {self.kind!r}",
+                                     "vector.kind")
+
     @staticmethod
     def centered_x(coeffs=(1.0,)) -> "VectorLaw":
         c = tuple(float(v) for v in coeffs)

@@ -97,11 +97,11 @@ class EventPredicate:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """One estimate/theory comparison with its 3-SE verdict.
-
-    ``std_error`` combines the MC error of both sides; for distance
-    statistics (KS, chi-square) it holds threshold/3 so the pass rule
-    stays |estimate - theory| <= 3 * std_error.
+    """One estimate/theory comparison and its verdict, the pass rule of
+    every gate: with d = estimate - theory_value, |d| <= 3 * std_error,
+    or d <= 3 * std_error when ``one_sided`` (a trend step, which fails
+    only on a rise).  ``std_error`` combines the MC error of both sides;
+    for distance statistics (KS, chi-square) it holds threshold/3.
     """
 
     label: str
@@ -109,10 +109,23 @@ class TheoremReport:
     theory_value: float
     std_error: float
     n_reps: int
+    one_sided: bool = False
 
     @property
     def passed(self) -> bool:
-        return abs(self.estimate - self.theory_value) <= 3.0 * self.std_error
+        d = self.estimate - self.theory_value
+        return (d if self.one_sided else abs(d)) <= 3.0 * self.std_error
+
+
+def trend_reports(label: str, a_grid: Sequence[float],
+                  values: Sequence[float], ses: Sequence[float],
+                  n_reps: int) -> Tuple[TheoremReport, ...]:
+    """One one-sided report per grid step: the value at the next level
+    against the value at this level, with SE hypot(se_i, se_{i+1})."""
+    return tuple(TheoremReport(
+        f"{label} a={a_grid[i]:g}->{a_grid[i + 1]:g}", values[i + 1],
+        values[i], math.hypot(ses[i], ses[i + 1]), n_reps, True)
+        for i in range(len(values) - 1))
 
 
 def sup_distance(cdf_at_sorted: np.ndarray) -> float:
@@ -331,35 +344,31 @@ class Theorem4Row:
     theory: float
     diff: float
     combined_se: float
+    reps: int
+
+    @property
+    def report(self) -> TheoremReport:
+        return TheoremReport(f"E t_a at a={self.a:g}", self.mean_t,
+                             self.theory, self.combined_se, self.reps)
 
     @property
     def passed(self) -> bool:
-        return abs(self.diff) <= 3.0 * self.combined_se
+        return self.report.passed
 
 
 @dataclass(frozen=True)
 class Theorem4Result:
-    """Expected stopping time against (a + rho - nu - lam)/mu on a grid."""
+    """Expected stopping time against (a + rho - nu - lam)/mu on a grid;
+    ``reports`` holds the last row's, then the trend of |diff|."""
 
     rows: Tuple[Theorem4Row, ...]
+    reports: Tuple[TheoremReport, ...]
     constants: RenewalConstants
     non_crossing_fraction: float
 
     @property
-    def final_row_passed(self) -> bool:
-        return self.rows[-1].passed
-
-    @property
-    def diffs_non_increasing(self) -> bool:
-        """|diff| non-increasing along the grid, up to 3 SE per step."""
-        d = [abs(r.diff) for r in self.rows]
-        s = [r.combined_se for r in self.rows]
-        return all(d[i + 1] <= d[i] + 3.0 * math.hypot(s[i], s[i + 1])
-                   for i in range(len(d) - 1))
-
-    @property
     def passed(self) -> bool:
-        return self.final_row_passed and self.diffs_non_increasing and \
+        return all(r.passed for r in self.reports) and \
             self.constants.consistent
 
 
@@ -378,15 +387,17 @@ def theorem4_experiment(model: PerturbedWalkModel, a_grid: Sequence[float],
     corr = constants.rho - constants.nu - constants.lam
     se_corr = math.hypot(constants.se_rho, constants.se_nu)
     rows = []
-    worst_ncf = 0.0
     for a, summ in zip(a_grid, summaries):
-        worst_ncf = max(worst_ncf, summ.non_crossing_fraction)
         theory = (float(a) + corr) / mu
         rows.append(Theorem4Row(
             a=float(a), mean_t=summ.mean_t, se_t=summ.se_t, theory=theory,
             diff=summ.mean_t - theory,
-            combined_se=math.hypot(summ.se_t, se_corr / mu)))
-    return Theorem4Result(tuple(rows), constants, worst_ncf)
+            combined_se=math.hypot(summ.se_t, se_corr / mu), reps=reps))
+    reports = (rows[-1].report,) + trend_reports(
+        "|diff|", a_grid, [abs(r.diff) for r in rows],
+        [r.combined_se for r in rows], reps)
+    return Theorem4Result(tuple(rows), reports, constants,
+                          max(s.non_crossing_fraction for s in summaries))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@
   generator and steps its path 256 indices at a time, then reduces it
   the way one of the package's collectors does.  The batched kernels in
   ``renewalsim.first_passage`` must reproduce these values.
+* The defining identities of a staggered trial state.
 """
 
 from __future__ import annotations
@@ -451,3 +452,19 @@ def staggered_backward_rows(model, reps: int, stream: RngStream,
         sample_rows, x_of, spec, mu, math.sqrt(sigma2), xi_slack, cap,
         stream.with_replication(rep_offset + r).generator())
         for r in range(reps)])
+
+
+# -- staggered trial state ---------------------------------------------
+
+def validate_trial_state(state) -> None:
+    """Assert the defining identities for K_n and T_star of a
+    ``TrialState``: K_n counts lifetimes within the observed times, and
+    T_star sums the lifetimes censored at them."""
+    obs = state.observed_times
+    K = int(np.count_nonzero(state.L <= obs))
+    T = float(np.sum(np.minimum(state.L, obs)))
+    if K != state.K_n or not math.isclose(T, state.T_star, rel_tol=1e-12,
+                                          abs_tol=1e-12):
+        raise ContractViolationError(
+            f"state inconsistent: K={K} vs {state.K_n}, "
+            f"T*={T} vs {state.T_star}")

@@ -35,6 +35,7 @@ from renewalsim import (
 )
 from renewalsim.cli import run as cli_run
 from renewalsim.config import ExperimentConfig
+from renewalsim.verification import trend_reports
 
 SEED = 74021
 
@@ -43,9 +44,10 @@ def _line(name, ok, detail):
     print(f"[acceptance] {name}: {detail} -> {'PASS' if ok else 'FAIL'}")
 
 
-def _trend_ok(vals, ses):
-    return all(vals[i + 1] <= vals[i] + 3.0 * math.hypot(ses[i], ses[i + 1])
-               for i in range(len(vals) - 1))
+def _trend_ok(rows, vals, ses, reps):
+    """No rise of more than 3 SE from one level of ``rows`` to the next."""
+    return all(rep.passed for rep in trend_reports(
+        "trend", [r.a for r in rows], vals, ses, reps))
 
 
 def test_classical_passage_oracle(plain_exp_model):
@@ -107,7 +109,7 @@ def test_expansion_over_levels(tm1_model):
     elapsed = time.monotonic() - t0
     detail = ", ".join(f"a={r.a:g}: diff={r.diff:+.3f}+-{r.combined_se:.3f}"
                        for r in res.rows)
-    ok = res.final_row_passed and res.diffs_non_increasing \
+    ok = all(r.passed for r in res.reports) \
         and res.non_crossing_fraction == 0.0 and elapsed < 600.0
     _line("expected-time expansion", ok, f"{detail}, {elapsed:.0f}s")
     assert ok
@@ -135,7 +137,8 @@ def lemma_rows(tm1_model):
 
 def test_early_crossing_mass_trend(lemma_rows):
     rows1, _ = lemma_rows
-    ok = _trend_ok([r.delta0 for r in rows1], [r.se0 for r in rows1])
+    ok = _trend_ok(rows1, [r.delta0 for r in rows1], [r.se0 for r in rows1],
+                   4000)
     _line("early-crossing mass trend", ok,
           ", ".join(f"a={r.a:g}: {r.delta0:.3f}+-{r.se0:.3f}" for r in rows1))
     assert ok
@@ -143,7 +146,8 @@ def test_early_crossing_mass_trend(lemma_rows):
 
 def test_late_lag_mass_trend(lemma_rows):
     rows1, _ = lemma_rows
-    ok = _trend_ok([r.delta1 for r in rows1], [r.se1 for r in rows1])
+    ok = _trend_ok(rows1, [r.delta1 for r in rows1], [r.se1 for r in rows1],
+                   4000)
     _line("late-lag mass trend", ok,
           ", ".join(f"a={r.a:g}: {r.delta1:.3f}+-{r.se1:.3f}" for r in rows1))
     assert ok
@@ -151,7 +155,8 @@ def test_late_lag_mass_trend(lemma_rows):
 
 def test_coupling_count_trend(lemma_rows):
     _, rows3 = lemma_rows
-    ok = _trend_ok([r.count for r in rows3], [r.se for r in rows3])
+    ok = _trend_ok(rows3, [r.count for r in rows3], [r.se for r in rows3],
+                   2000)
     _line("windowed coupling count trend", ok,
           ", ".join(f"a={r.a:g}: {r.count:.3f}+-{r.se:.3f}" for r in rows3))
     assert ok

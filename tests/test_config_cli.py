@@ -1,9 +1,11 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
@@ -11,7 +13,8 @@ import yaml
 import renewalsim
 from renewalsim import cli
 from renewalsim.cli import main, run
-from renewalsim.config import ExperimentConfig, build_model, validate_for_kind
+from renewalsim.config import (EXPERIMENT_KINDS, ExperimentConfig, build_model,
+                               validate_for_kind)
 from renewalsim.errors import ConfigurationError
 from renewalsim.first_passage import PerturbedWalkModel
 from renewalsim.staggered import StaggeredExponentialModel
@@ -29,6 +32,11 @@ PLAIN_MODEL = {
     "kind": "perturbed_walk",
     "increment": {"family": "exponential", "params": {"rate": 1.0}},
 }
+
+STAGGERED_MODEL = {"kind": "staggered", "arrival_rate": 1.0, "theta": 1.0,
+                   "g": "fixed_width_ci"}
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def full_config(**over):
@@ -112,6 +120,52 @@ def test_cross_field_validation():
         validate_for_kind(ExperimentConfig.from_dict(full_config(
             kind="example-fwci", h=0.2, c=1.96)))
     assert err.value.field == "config.model.kind"
+    # every kind of the table, each of its fields and the other model kind
+    every_field = {"a": 20.0, "b": 0.5, "y": 0.0, "a_grid": [8.0],
+                   "predicate": {"kind": "always_true"}, "h": 0.2,
+                   "c": 1.96, "horizon": 40}
+    for kind, (model_kind, fields) in EXPERIMENT_KINDS.items():
+        model = STAGGERED_MODEL if model_kind == "staggered" else PLAIN_MODEL
+        doc = full_config(kind=kind, model=model, **every_field)
+        validate_for_kind(ExperimentConfig.from_dict(doc))
+        for name in fields:
+            with pytest.raises(ConfigurationError) as err:
+                validate_for_kind(ExperimentConfig.from_dict(
+                    dict(doc, **{name: None})))
+            assert err.value.field == f"config.{name}"
+            assert f"{kind} needs {name}" in str(err.value)
+        if model_kind is not None:
+            other = PLAIN_MODEL if model is STAGGERED_MODEL \
+                else STAGGERED_MODEL
+            with pytest.raises(ConfigurationError) as err:
+                validate_for_kind(ExperimentConfig.from_dict(
+                    dict(doc, model=other)))
+            assert err.value.field == "config.model.kind"
+            assert f"{kind} needs a {model_kind} model" in str(err.value)
+
+
+def _readme_kinds() -> dict:
+    """{kind: "needs" cell} of README's experiment-kinds table."""
+    lines = README.read_text(encoding="utf-8").split(
+        "### Experiment kinds", 1)[1].strip().splitlines()
+    rows = {}
+    for line in lines[2:]:  # past the header and the rule
+        if not line.startswith("|"):
+            break
+        kind, needs = [c.strip() for c in line.strip("|").split("|")][:2]
+        rows[kind.strip("`")] = needs
+    return rows
+
+
+def test_readme_kinds_table_matches_config_and_runners():
+    table = _readme_kinds()
+    assert list(table) == list(EXPERIMENT_KINDS)
+    for kind, needs in table.items():
+        model_kind, fields = EXPERIMENT_KINDS[kind]
+        assert re.findall(r"`([^`]+)`", needs) == list(fields), kind
+        assert ("staggered model" in needs) == (model_kind == "staggered"), \
+            kind
+    assert set(cli._RUNNERS) == set(EXPERIMENT_KINDS)
 
 
 def test_built_models_have_expected_types():

@@ -185,6 +185,14 @@ def test_centered_x_unbound_raises():
         vl.cov()
 
 
+def test_vector_law_rejects_unknown_kind():
+    # a misspelt kind used to build, and covariance() then failed with an
+    # unrelated symmetry error
+    with pytest.raises(ConfigurationError) as err:
+        VectorLaw("centred_x", coeffs=(1.0,))
+    assert err.value.field == "vector.kind"
+
+
 def test_gaussian_vector_law_covariance():
     target = np.array([[1.0, 0.3], [0.3, 0.5]])
     vl = VectorLaw.gaussian(target)

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from oracles import validate_trial_state
 from renewalsim import (
     GStatistic, RngStream, StaggeredExponentialModel, TrialState,
     calibrate_lrt_boundary, decompose, example1_run, example2_run,
@@ -30,7 +31,7 @@ def test_hand_state_quantities(hand_state):
     assert hand_state.T_star == pytest.approx(1.5)
     assert np.array_equal(hand_state.observed_times, [2.0, 1.0])
     assert xi_staggered_residual(hand_state) == pytest.approx(2.0)
-    hand_state.validate()
+    validate_trial_state(hand_state)
 
 
 def test_hand_state_statistics(hand_state):
@@ -50,7 +51,7 @@ def test_state_validation():
     bad = TrialState(n=2, tau=np.array([0.0, 1.0, 2.0]),
                      L=np.array([0.5, 3.0]), K_n=2, T_star=1.5)
     with pytest.raises(ContractViolationError):
-        bad.validate()
+        validate_trial_state(bad)
 
 
 def test_t_star_identity_is_exact():

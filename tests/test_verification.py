@@ -8,14 +8,13 @@ from scipy import stats
 from oracles import renewal_window_count
 from renewalsim import (
     EventPredicate, IncrementLaw, PerturbedWalkModel, RngStream,
-    TheoremReport, Theorem4Result, Theorem4Row, lemma1_diagnostic,
-    lemma3_diagnostic, theorem1_experiment, theorem3_experiment,
-    theorem4_experiment,
+    TheoremReport, lemma1_diagnostic, lemma3_diagnostic, theorem1_experiment,
+    theorem3_experiment, theorem4_experiment,
 )
 from renewalsim.errors import ConfigurationError, ContractViolationError
 from renewalsim.verification import (
     WindowBounds, _median, lemma1_collect, lemma3_collect, sup_distance,
-    theorem1_counts,
+    theorem1_counts, trend_reports,
 )
 
 
@@ -36,6 +35,11 @@ def test_theorem_report_rule():
     assert TheoremReport("x", 1.05, 1.0, 0.02, 100).passed
     assert not TheoremReport("x", 1.07, 1.0, 0.02, 100).passed
     assert TheoremReport("x", 0.95, 1.0, 0.02, 100).passed
+    # one-sided: a fall of any size passes, a rise of more than 3 SE fails
+    assert TheoremReport("x", -50.0, 1.0, 0.02, 100, one_sided=True).passed
+    assert TheoremReport("x", 1.05, 1.0, 0.02, 100, one_sided=True).passed
+    assert not TheoremReport("x", 1.07, 1.0, 0.02, 100,
+                             one_sided=True).passed
 
 
 def test_event_predicates():
@@ -146,27 +150,20 @@ def test_theorem4_rows_and_trend(tm1_model):
         assert row.diff == pytest.approx(row.mean_t - row.theory)
         assert row.passed == (abs(row.diff) <= 3.0 * row.combined_se)
     assert result.rows[1].passed
+    assert result.reports[0] == result.rows[1].report
+    assert [r.one_sided for r in result.reports] == [False, True]
     assert result.non_crossing_fraction == 0.0
 
 
 def test_theorem4_trend_rule():
-    consts_se = 0.05
+    def trend_ok(diffs, ses):
+        return all(r.passed for r in trend_reports(
+            "|diff|", (50.0, 100.0, 150.0), diffs, ses, 100))
 
-    def rows(diffs, ses):
-        return tuple(Theorem4Row(a=50.0 * (i + 1), mean_t=0.0, se_t=s,
-                                 theory=0.0, diff=d, combined_se=s)
-                     for i, (d, s) in enumerate(zip(diffs, ses)))
-
-    def result(diffs, ses):
-        consts = None
-        r = Theorem4Result(rows=rows(diffs, ses), constants=consts,
-                           non_crossing_fraction=0.0)
-        return r
-
-    assert result([0.9, 0.5, 0.2], [0.05, 0.05, 0.05]).diffs_non_increasing
+    assert trend_ok([0.9, 0.5, 0.2], [0.05, 0.05, 0.05])
     # increase within the 3-SE tie band is tolerated
-    assert result([0.50, 0.55, 0.2], [0.05, 0.05, 0.05]).diffs_non_increasing
-    assert not result([0.2, 0.9, 0.1], [0.05, 0.05, 0.05]).diffs_non_increasing
+    assert trend_ok([0.50, 0.55, 0.2], [0.05, 0.05, 0.05])
+    assert not trend_ok([0.2, 0.9, 0.1], [0.05, 0.05, 0.05])
 
 
 def test_lemma1_rows_and_chunking(tm1_model):
