@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, build_model, validate_for_kind
+from .config import ExperimentConfig, validate_for_kind
 from .errors import RenewalSimError
 from .first_passage import estimate_rho_nu, summarize_levels
 from .mixture import mixture_quantile
@@ -240,12 +240,12 @@ def _warning_counts(caught) -> List[dict]:
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; write `<kind>.csv` and `manifest.json`
     under cfg.out.  Returns the process exit code."""
-    validate_for_kind(cfg)
+    model = validate_for_kind(cfg)
     started = time.monotonic()
     with warnings.catch_warnings(record=True) as caught, \
             shared_pool(cfg.workers):
         warnings.simplefilter("always")
-        out = _RUNNERS[cfg.kind](cfg, build_model(cfg), RngStream(cfg.seed))
+        out = _RUNNERS[cfg.kind](cfg, model, RngStream(cfg.seed))
     raise_again(caught)
     wall = time.monotonic() - started
     os.makedirs(cfg.out, exist_ok=True)

@@ -1,14 +1,22 @@
 """Run configuration: one nested key/value file describing an experiment.
 
 A config names the model, the experiment kind, and the sampling budget.
-Everything is validated with a dotted field path before any sampling
-starts, and a parsed config serializes back to an equivalent document.
+Every mapping in it passes one check, ``_mapping``: the top level,
+``predicate``, ``model`` and its subtrees ``increment``, ``params``,
+``stationary``, ``vector``, ``quadratic`` and ``residual``.  A value that
+is not a mapping, or a key the mapping does not allow, raises
+``ConfigurationError`` at its dotted path (``config.model.stationary.betta``).
+The top-level fields are parsed by one table, ``_FIELDS``, in its order;
+the model subtree is parsed by ``build_model``.  Everything is validated
+before any sampling starts, and a parsed config serializes back to an
+equivalent document.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -17,7 +25,8 @@ import yaml
 from .errors import ConfigurationError
 from .laws import IncrementLaw, VectorLaw
 from .first_passage import PerturbedWalkModel
-from .perturbation import QuadraticSpec, ResidualSpec, StationarySpec
+from .perturbation import (_NAMED_MAPS, QuadraticSpec, ResidualSpec,
+                           StationarySpec)
 from .staggered import GStatistic, StaggeredExponentialModel
 
 # kind -> (model kind it runs on, None for either; fields it needs, in order)
@@ -33,19 +42,27 @@ EXPERIMENT_KINDS = {
     "example-rst": ("staggered", ("horizon",)),
 }
 
+# increment family -> the keys of its params, in constructor order
 _LAW_PARAMS = {
     "exponential": ("rate",),
     "gamma": ("shape", "rate"),
     "normal": ("mean", "sd"),
     "uniform": ("lo", "hi"),
     "deterministic": ("value",),
+    "quantile_table": ("values",),
 }
 
-_TOP_KEYS = {
-    "kind", "seed", "reps", "out", "workers", "model", "a", "b", "y",
-    "a_grid", "q", "eps", "backward_reps", "depth", "predicate", "h", "c",
-    "horizon", "level", "calibration_reps",
-}
+
+def _mapping(v, path: str, keys=None) -> dict:
+    """``v`` if it is a mapping whose keys all lie in ``keys`` (any key
+    when ``keys`` is None); else an error at ``path`` or the key's path."""
+    if not isinstance(v, dict):
+        raise ConfigurationError(
+            f"{path.rsplit('.', 1)[-1]} must be a mapping", path)
+    for k in v:
+        if keys is not None and k not in keys:
+            raise ConfigurationError(f"unknown key {k!r}", f"{path}.{k}")
+    return v
 
 
 def _need(d: dict, key: str, path: str):
@@ -75,6 +92,72 @@ def _as_str(v, path: str, allowed=None) -> str:
         raise ConfigurationError(
             f"got {v!r}; allowed: {', '.join(sorted(allowed))}", path)
     return v
+
+
+def _floats(v, path: str, message: str, least: int = 1) -> tuple:
+    """A list of at least ``least`` numbers, as a tuple of floats."""
+    if not isinstance(v, list) or len(v) < least:
+        raise ConfigurationError(message, path)
+    return tuple(_as_float(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+
+def _checked(parse, ok, message: str):
+    """``parse``, then an error with ``message`` unless ``ok(value)``."""
+    def run(v, path: str):
+        value = parse(v, path)
+        if not ok(value):
+            raise ConfigurationError(message, path)
+        return value
+    return run
+
+
+def _y(v, path: str) -> Union[float, str]:
+    if isinstance(v, str):
+        if v not in ("median", "inf"):
+            raise ConfigurationError(
+                "y must be a number, 'median', or 'inf'", path)
+        return v
+    return _as_float(v, path)
+
+
+def _predicate(v, path: str) -> dict:
+    p = _mapping(v, path, ("kind", "c"))
+    kind = _as_str(_need(p, "kind", path), f"{path}.kind",
+                   ("always_true", "xi_leq"))
+    if kind == "xi_leq":
+        _as_float(_need(p, "c", path), f"{path}.c")
+    return dict(p)
+
+
+# field -> parser(value, dotted path), in check order.  A field without a
+# default is required; null stands for absent where the default is None.
+_FIELDS = {
+    "kind": partial(_as_str, allowed=EXPERIMENT_KINDS),
+    "seed": _checked(partial(_as_int, lo=0), lambda s: s <= 2 ** 64 - 1,
+                     "seed must fit in 64 bits"),
+    "reps": partial(_as_int, lo=1),
+    "model": _mapping,  # its keys depend on its kind; see build_model
+    "out": _as_str,
+    "workers": partial(_as_int, lo=1),
+    "a": _as_float,
+    "b": _as_float,
+    "h": _as_float,
+    "c": _as_float,
+    "y": _y,
+    "a_grid": _checked(
+        partial(_floats, message="a_grid must be a non-empty list"),
+        lambda g: all(v > 0 for v in g), "levels must be > 0"),
+    "q": _checked(_as_float, lambda q: 1.0 / 3.0 < q < 0.5,
+                  "q must lie in (1/3, 1/2)"),
+    "eps": _checked(_as_float, lambda e: e > 0, "eps must be > 0"),
+    "backward_reps": partial(_as_int, lo=1),
+    "depth": partial(_as_int, lo=1),
+    "horizon": partial(_as_int, lo=1),
+    "level": _checked(_as_float, lambda x: 0.0 < x < 1.0,
+                      "level must be in (0, 1)"),
+    "calibration_reps": partial(_as_int, lo=2),
+    "predicate": _predicate,
+}
 
 
 @dataclass(frozen=True)
@@ -111,100 +194,23 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigurationError("config document must be a mapping",
-                                     "config")
-        for k in d:
-            if k not in _TOP_KEYS:
-                raise ConfigurationError(f"unknown key {k!r}", f"config.{k}")
-        kind = _as_str(_need(d, "kind", "config"), "config.kind",
-                       EXPERIMENT_KINDS)
-        seed = _as_int(_need(d, "seed", "config"), "config.seed", lo=0)
-        if seed > 2 ** 64 - 1:
-            raise ConfigurationError("seed must fit in 64 bits", "config.seed")
-        reps = _as_int(_need(d, "reps", "config"), "config.reps", lo=1)
-        model = _need(d, "model", "config")
-        if not isinstance(model, dict):
-            raise ConfigurationError("model must be a mapping", "config.model")
+        d = _mapping(d, "config", _FIELDS)
+        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
         kw = {}
-        if "out" in d:
-            kw["out"] = _as_str(d["out"], "config.out")
-        if "workers" in d:
-            kw["workers"] = _as_int(d["workers"], "config.workers", lo=1)
-        for name in ("a", "b", "h", "c"):
-            if d.get(name) is not None:
-                kw[name] = _as_float(d[name], f"config.{name}")
-        if d.get("y") is not None:
-            y = d["y"]
-            if isinstance(y, str):
-                if y not in ("median", "inf"):
-                    raise ConfigurationError(
-                        "y must be a number, 'median', or 'inf'", "config.y")
-                kw["y"] = y
-            else:
-                kw["y"] = _as_float(y, "config.y")
-        if d.get("a_grid") is not None:
-            grid = d["a_grid"]
-            if not isinstance(grid, list) or not grid:
-                raise ConfigurationError("a_grid must be a non-empty list",
-                                         "config.a_grid")
-            vals = tuple(_as_float(v, f"config.a_grid[{i}]")
-                         for i, v in enumerate(grid))
-            if any(v <= 0 for v in vals):
-                raise ConfigurationError("levels must be > 0", "config.a_grid")
-            kw["a_grid"] = vals
-        if "q" in d:
-            kw["q"] = _as_float(d["q"], "config.q")
-            if not 1.0 / 3.0 < kw["q"] < 0.5:
-                raise ConfigurationError("q must lie in (1/3, 1/2)", "config.q")
-        if "eps" in d:
-            kw["eps"] = _as_float(d["eps"], "config.eps")
-            if kw["eps"] <= 0:
-                raise ConfigurationError("eps must be > 0", "config.eps")
-        for name in ("backward_reps", "depth", "horizon"):
-            if d.get(name) is not None:
-                kw[name] = _as_int(d[name], f"config.{name}", lo=1)
-        if "level" in d:
-            kw["level"] = _as_float(d["level"], "config.level")
-            if not 0.0 < kw["level"] < 1.0:
-                raise ConfigurationError("level must be in (0, 1)",
-                                         "config.level")
-        if "calibration_reps" in d:
-            kw["calibration_reps"] = _as_int(d["calibration_reps"],
-                                             "config.calibration_reps", lo=2)
-        if d.get("predicate") is not None:
-            p = d["predicate"]
-            if not isinstance(p, dict):
-                raise ConfigurationError("predicate must be a mapping",
-                                         "config.predicate")
-            pk = _as_str(_need(p, "kind", "config.predicate"),
-                         "config.predicate.kind", ("always_true", "xi_leq"))
-            if pk == "xi_leq":
-                _as_float(_need(p, "c", "config.predicate"),
-                          "config.predicate.c")
-            for k in p:
-                if k not in ("kind", "c"):
-                    raise ConfigurationError(f"unknown key {k!r}",
-                                             f"config.predicate.{k}")
-            kw["predicate"] = dict(p)
-        return ExperimentConfig(kind=kind, seed=seed, reps=reps, model=model,
-                                **kw)
+        for name, parse in _FIELDS.items():
+            if defaults[name] is MISSING:
+                _need(d, name, "config")
+            if name in d and (d[name] is not None
+                              or defaults[name] is not None):
+                kw[name] = parse(d[name], f"config.{name}")
+        return ExperimentConfig(**kw)
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "seed": self.seed, "reps": self.reps,
-               "out": self.out, "workers": self.workers,
-               "q": self.q, "eps": self.eps, "level": self.level,
-               "calibration_reps": self.calibration_reps}
-        for name in ("a", "b", "y", "h", "c", "backward_reps", "depth",
-                     "horizon"):
-            v = getattr(self, name)
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
             if v is not None:
-                out[name] = v
-        if self.a_grid is not None:
-            out["a_grid"] = list(self.a_grid)
-        if self.predicate is not None:
-            out["predicate"] = dict(self.predicate)
-        out["model"] = self.model
+                out[f.name] = list(v) if isinstance(v, tuple) else v
         return out
 
     @staticmethod
@@ -225,10 +231,6 @@ class ExperimentConfig:
         return yaml.safe_dump(self.to_dict(), sort_keys=False,
                               default_flow_style=False)
 
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.dumps())
-
     def sha256(self) -> str:
         """Hash of the result-determining fields (canonical key order).
 
@@ -248,27 +250,16 @@ class ExperimentConfig:
                        "config.model.kind", ("perturbed_walk", "staggered"))
 
 
-def _build_increment(d: dict, path: str) -> IncrementLaw:
-    if not isinstance(d, dict):
-        raise ConfigurationError("increment must be a mapping", path)
-    fams = tuple(_LAW_PARAMS) + ("quantile_table",)
-    fam = _as_str(_need(d, "family", path), f"{path}.family", fams)
-    params = _need(d, "params", path)
-    if not isinstance(params, dict):
-        raise ConfigurationError("params must be a mapping", f"{path}.params")
-    if fam == "quantile_table":
-        vals = _need(params, "values", f"{path}.params")
-        if not isinstance(vals, list) or len(vals) < 2:
-            raise ConfigurationError("values must list at least 2 numbers",
-                                     f"{path}.params.values")
-        return IncrementLaw.quantile_table(
-            [_as_float(v, f"{path}.params.values[{i}]")
-             for i, v in enumerate(vals)])
+def _build_increment(d, path: str) -> IncrementLaw:
+    d = _mapping(d, path, ("family", "params"))
+    fam = _as_str(_need(d, "family", path), f"{path}.family", _LAW_PARAMS)
     names = _LAW_PARAMS[fam]
-    for k in params:
-        if k not in names:
-            raise ConfigurationError(f"unknown parameter {k!r} for {fam}",
-                                     f"{path}.params.{k}")
+    params = _mapping(_need(d, "params", path), f"{path}.params", names)
+    if fam == "quantile_table":
+        return IncrementLaw.quantile_table(_floats(
+            _need(params, "values", f"{path}.params"),
+            f"{path}.params.values", "values must list at least 2 numbers",
+            least=2))
     args = [_as_float(_need(params, n, f"{path}.params"), f"{path}.params.{n}")
             for n in names]
     try:
@@ -277,18 +268,16 @@ def _build_increment(d: dict, path: str) -> IncrementLaw:
         raise ConfigurationError(str(exc), f"{path}.params")
 
 
-def _build_stationary(d: Optional[dict], law: IncrementLaw,
-                      path: str) -> StationarySpec:
+def _build_stationary(d, law: IncrementLaw, path: str) -> StationarySpec:
     if d is None:
         return StationarySpec.zero()
-    if not isinstance(d, dict):
-        raise ConfigurationError("stationary must be a mapping", path)
+    d = _mapping(d, path, ("kind", "h", "beta", "centered",
+                           "truncation_depth"))
     kind = _as_str(_need(d, "kind", path), f"{path}.kind",
                    ("zero", "instantaneous", "geometric_ma"))
     if kind == "zero":
         return StationarySpec.zero()
-    h = d.get("h", "identity")
-    _as_str(h, f"{path}.h")
+    h = _as_str(d.get("h", "identity"), f"{path}.h", _NAMED_MAPS)
     centered = d.get("centered", False)
     if not isinstance(centered, bool):
         raise ConfigurationError("centered must be true or false",
@@ -307,81 +296,65 @@ def _build_stationary(d: Optional[dict], law: IncrementLaw,
 
 
 def _build_walk_model(m: dict) -> PerturbedWalkModel:
-    allowed = {"kind", "increment", "vector", "stationary", "quadratic",
-               "residual", "n0", "horizon_factor"}
-    for k in m:
-        if k not in allowed:
-            raise ConfigurationError(f"unknown key {k!r}", f"config.model.{k}")
-    law = _build_increment(_need(m, "increment", "config.model"),
-                           "config.model.increment")
+    path = "config.model"
+    _mapping(m, path, ("kind", "increment", "vector", "stationary",
+                       "quadratic", "residual", "n0", "horizon_factor"))
+    law = _build_increment(_need(m, "increment", path), f"{path}.increment")
     vector = None
     if m.get("vector") is not None:
-        v = m["vector"]
-        if not isinstance(v, dict):
-            raise ConfigurationError("vector must be a mapping",
-                                     "config.model.vector")
-        vkind = _as_str(v.get("kind", "centered_x"), "config.model.vector.kind",
+        v = _mapping(m["vector"], f"{path}.vector", ("kind", "coeffs", "cov"))
+        vkind = _as_str(v.get("kind", "centered_x"), f"{path}.vector.kind",
                         ("centered_x", "gaussian"))
         if vkind == "centered_x":
-            coeffs = _need(v, "coeffs", "config.model.vector")
-            if not isinstance(coeffs, list) or not coeffs:
-                raise ConfigurationError("coeffs must be a non-empty list",
-                                         "config.model.vector.coeffs")
-            vector = VectorLaw.centered_x(
-                [_as_float(c, f"config.model.vector.coeffs[{i}]")
-                 for i, c in enumerate(coeffs)])
+            vector = VectorLaw.centered_x(_floats(
+                _need(v, "coeffs", f"{path}.vector"),
+                f"{path}.vector.coeffs", "coeffs must be a non-empty list"))
         else:
-            cov = _need(v, "cov", "config.model.vector")
-            vector = VectorLaw.gaussian(np.asarray(cov, dtype=float))
+            cov = _need(v, "cov", f"{path}.vector")
+            try:
+                vector = VectorLaw.gaussian(cov)
+            except ConfigurationError as exc:
+                raise ConfigurationError(str(exc), f"{path}.vector.cov")
     stationary = _build_stationary(m.get("stationary"), law,
-                                   "config.model.stationary")
+                                   f"{path}.stationary")
     quadratic = None
     if m.get("quadratic") is not None:
-        qd = m["quadratic"]
-        if not isinstance(qd, dict) or "Q" not in qd:
-            raise ConfigurationError("quadratic needs a Q matrix",
-                                     "config.model.quadratic.Q")
+        qd = _mapping(m["quadratic"], f"{path}.quadratic", ("Q",))
+        Q = _need(qd, "Q", f"{path}.quadratic")
         try:
-            quadratic = QuadraticSpec(np.asarray(qd["Q"], dtype=float))
+            quadratic = QuadraticSpec(np.asarray(Q, dtype=float))
         except (TypeError, ValueError):
             raise ConfigurationError("Q must be a numeric matrix",
-                                     "config.model.quadratic.Q")
+                                     f"{path}.quadratic.Q")
     residual = ResidualSpec.zero()
     if m.get("residual") is not None:
-        rd = m["residual"]
-        if not isinstance(rd, dict):
-            raise ConfigurationError("residual must be a mapping",
-                                     "config.model.residual")
-        rkind = _as_str(_need(rd, "kind", "config.model.residual"),
-                        "config.model.residual.kind", ("zero", "constant"))
+        rd = _mapping(m["residual"], f"{path}.residual", ("kind", "value"))
+        rkind = _as_str(_need(rd, "kind", f"{path}.residual"),
+                        f"{path}.residual.kind", ("zero", "constant"))
         if rkind == "constant":
             residual = ResidualSpec.constant(
-                _as_float(_need(rd, "value", "config.model.residual"),
-                          "config.model.residual.value"))
-    n0 = _as_int(m.get("n0", 1), "config.model.n0", lo=1)
+                _as_float(_need(rd, "value", f"{path}.residual"),
+                          f"{path}.residual.value"))
+    n0 = _as_int(m.get("n0", 1), f"{path}.n0", lo=1)
     kw = {}
     if m.get("horizon_factor") is not None:
         kw["horizon_factor"] = _as_float(m["horizon_factor"],
-                                         "config.model.horizon_factor")
+                                         f"{path}.horizon_factor")
     return PerturbedWalkModel(increment_law=law, vector_law=vector,
                               stationary=stationary, quadratic=quadratic,
                               residual=residual, n0=n0, **kw)
 
 
 def _build_staggered_model(m: dict) -> StaggeredExponentialModel:
-    allowed = {"kind", "arrival_rate", "theta", "g", "n0", "xi_truncation"}
-    for k in m:
-        if k not in allowed:
-            raise ConfigurationError(f"unknown key {k!r}", f"config.model.{k}")
-    rate = _as_float(_need(m, "arrival_rate", "config.model"),
-                     "config.model.arrival_rate")
-    theta = _as_float(_need(m, "theta", "config.model"), "config.model.theta")
-    gname = _as_str(_need(m, "g", "config.model"), "config.model.g",
-                    ("fixed_width_ci", "repeated_lrt"))
-    g = GStatistic.fixed_width_ci() if gname == "fixed_width_ci" \
-        else GStatistic.repeated_lrt()
-    n0 = _as_int(m.get("n0", 1), "config.model.n0", lo=1)
-    trunc = _as_int(m.get("xi_truncation", 200), "config.model.xi_truncation",
+    path = "config.model"
+    _mapping(m, path, ("kind", "arrival_rate", "theta", "g", "n0",
+                       "xi_truncation"))
+    rate = _as_float(_need(m, "arrival_rate", path), f"{path}.arrival_rate")
+    theta = _as_float(_need(m, "theta", path), f"{path}.theta")
+    g = getattr(GStatistic, _as_str(_need(m, "g", path), f"{path}.g",
+                                    ("fixed_width_ci", "repeated_lrt")))()
+    n0 = _as_int(m.get("n0", 1), f"{path}.n0", lo=1)
+    trunc = _as_int(m.get("xi_truncation", 200), f"{path}.xi_truncation",
                     lo=1)
     return StaggeredExponentialModel(arrival_rate=rate, theta=theta, g=g,
                                      n0=n0, xi_truncation=trunc)
@@ -394,16 +367,17 @@ def build_model(cfg: ExperimentConfig):
     return _build_staggered_model(cfg.model)
 
 
-def validate_for_kind(cfg: ExperimentConfig) -> None:
+def validate_for_kind(cfg: ExperimentConfig):
     """Cross-field checks: the kind must be runnable with what the
-    config provides.  Raises before any sampling happens."""
+    config provides.  Raises before any sampling happens; returns the
+    model, built once."""
     mkind = cfg.model_kind()
-    needed_kind, fields = EXPERIMENT_KINDS[cfg.kind]
+    needed_kind, fields_needed = EXPERIMENT_KINDS[cfg.kind]
     if needed_kind not in (None, mkind):
         raise ConfigurationError(f"{cfg.kind} needs a {needed_kind} model",
                                  "config.model.kind")
-    for name in fields:
+    for name in fields_needed:
         if getattr(cfg, name) is None:
             raise ConfigurationError(f"{cfg.kind} needs {name}",
                                      f"config.{name}")
-    build_model(cfg)
+    return build_model(cfg)

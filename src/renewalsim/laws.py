@@ -229,8 +229,14 @@ class CovarianceEstimate:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if m.shape[0] != m.shape[1]:
+        try:
+            m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        except (TypeError, ValueError):
+            m = np.array([[np.nan]])
+        if not np.isfinite(m).all():
+            raise ConfigurationError("covariance must hold finite numbers",
+                                     "cov.matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError("covariance must be square", "cov.matrix")
         if not np.allclose(m, m.T, atol=1e-12 * (1.0 + np.abs(m).max())):
             raise ConfigurationError("covariance must be symmetric", "cov.matrix")
@@ -270,7 +276,11 @@ class VectorLaw:
 
     @staticmethod
     def gaussian(cov) -> "VectorLaw":
-        m = np.atleast_2d(np.asarray(cov, dtype=float))
+        m = CovarianceEstimate(cov).matrix  # square and symmetric
+        evals = np.linalg.eigvalsh(m)  # PSD by mixture_weights' rule
+        if evals[0] < -1e-10 * max(1.0, float(evals[-1])):
+            raise ConfigurationError(f"covariance not PSD (min eigenvalue "
+                                     f"{evals[0]:.3e})", "vector.cov")
         return VectorLaw("gaussian", cov_matrix=m, dim=m.shape[0])
 
     @property

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 import yaml
 
 import renewalsim
-from renewalsim import cli
+from renewalsim import cli, config
 from renewalsim.cli import main, run
 from renewalsim.config import (EXPERIMENT_KINDS, ExperimentConfig, build_model,
                                validate_for_kind)
@@ -142,6 +143,141 @@ def test_cross_field_validation():
                     dict(doc, model=other)))
             assert err.value.field == "config.model.kind"
             assert f"{kind} needs a {model_kind} model" in str(err.value)
+
+
+# every key of every subtree: one walk model per increment family (each
+# family has its own params keys) and the staggered model, under a top
+# level that sets every field
+FAMILY_PARAMS = {"exponential": {"rate": 1.0},
+                 "gamma": {"shape": 2.0, "rate": 2.0},
+                 "normal": {"mean": 1.0, "sd": 0.5},
+                 "uniform": {"lo": 0.5, "hi": 1.5},
+                 "deterministic": {"value": 1.0},
+                 "quantile_table": {"values": [0.5, 1.0, 2.0]}}
+EVERY_KEY_WALK = {
+    "kind": "perturbed_walk",
+    "increment": {"family": "gamma", "params": FAMILY_PARAMS["gamma"]},
+    "vector": {"kind": "gaussian", "coeffs": [1.0, 2.0],
+               "cov": [[1.0, 0.3], [0.3, 0.5]]},
+    "stationary": {"kind": "geometric_ma", "h": "square", "beta": 0.5,
+                   "centered": True, "truncation_depth": 20},
+    "quadratic": {"Q": [[0.5, 0.0], [0.0, 0.25]]},
+    "residual": {"kind": "constant", "value": 0.1},
+    "n0": 2, "horizon_factor": 5.0}
+EVERY_KEY_STAGGERED = {"kind": "staggered", "arrival_rate": 1.0,
+                       "theta": 1.0, "g": "repeated_lrt", "n0": 2,
+                       "xi_truncation": 100}
+
+
+def _every_key_docs():
+    top = full_config(kind="constants", out="o", workers=1, a=20.0, b=0.5,
+                      y="median", q=0.4, eps=0.5, backward_reps=100,
+                      depth=30, predicate={"kind": "xi_leq", "c": 0.0},
+                      h=0.2, c=1.96, horizon=40, level=0.05,
+                      calibration_reps=100)
+    assert set(top) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    docs = [dict(top, model=EVERY_KEY_STAGGERED)]
+    for family, params in FAMILY_PARAMS.items():
+        model = dict(EVERY_KEY_WALK,
+                     increment={"family": family, "params": params})
+        docs.append(dict(top, model=model))
+    return docs
+
+
+def _mappings(doc, path="config"):
+    """(dotted path, mapping) of ``doc`` and of every mapping inside it."""
+    yield path, doc
+    for k, v in doc.items():
+        if isinstance(v, dict):
+            yield from _mappings(v, f"{path}.{k}")
+
+
+def _with(doc, path, edit):
+    """A deep copy of ``doc`` with ``edit`` applied to the mapping at the
+    dotted ``path``."""
+    doc = yaml.safe_load(yaml.safe_dump(doc))
+    target = doc
+    for k in path.split(".")[1:]:
+        target = target[k]
+    edit(target)
+    return doc
+
+
+def _validate(doc):
+    validate_for_kind(ExperimentConfig.from_dict(doc))
+
+
+def test_every_key_validates_and_each_unknown_key_is_rejected_at_its_path():
+    assert set(config._LAW_PARAMS) == set(FAMILY_PARAMS)
+    assert all(tuple(p) == config._LAW_PARAMS[f]
+               for f, p in FAMILY_PARAMS.items())
+    for doc in _every_key_docs():
+        _validate(doc)
+        for path, mapping in _mappings(doc):
+            with pytest.raises(ConfigurationError) as err:
+                _validate(_with(doc, path, lambda m: m.update(zzz=1)))
+            assert err.value.field == f"{path}.zzz"
+            for key in mapping:
+                def rename(m, key=key):
+                    m[key + "_x"] = m.pop(key)
+                with pytest.raises(ConfigurationError) as err:
+                    _validate(_with(doc, path, rename))
+                # a renamed required key may read as missing instead
+                assert err.value.field in (f"{path}.{key}_x",
+                                           f"{path}.{key}"), (path, key)
+
+
+def test_field_table_names_the_config_fields():
+    assert set(config._FIELDS) == {
+        f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_misspelled_stationary_keys_are_rejected():
+    # a misspelt beta and centering used to validate and run beta = 0.5
+    # without centering
+    model = dict(WALK_MODEL, stationary={"kind": "geometric_ma",
+                                         "betta": 0.3, "centred": True})
+    with pytest.raises(ConfigurationError) as err:
+        _validate(full_config(model=model))
+    assert err.value.field == "config.model.stationary.betta"
+
+
+@pytest.mark.parametrize("centered", [False, True])
+def test_unknown_stationary_map_is_rejected_at_validation(centered):
+    # uncentred, an unknown map used to pass validation and fail inside
+    # the kernel's first xi evaluation
+    model = dict(PLAIN_MODEL, stationary={"kind": "instantaneous",
+                                          "h": "sqaure",
+                                          "centered": centered})
+    with pytest.raises(ConfigurationError) as err:
+        _validate(full_config(model=model))
+    assert err.value.field == "config.model.stationary.h"
+    assert "square" in str(err.value)
+
+
+@pytest.mark.parametrize("cov", ["abc", [[1.0, 0.5]], [[1, 2], [2, 1]]])
+def test_bad_gaussian_cov_is_rejected_at_validation(cov, tmp_path,
+                                                    config_file):
+    model = dict(PLAIN_MODEL, vector={"kind": "gaussian", "cov": cov})
+    doc = full_config(model=model, reps=20, out=str(tmp_path / "o"))
+    with pytest.raises(ConfigurationError) as err:
+        _validate(doc)
+    assert err.value.field == "config.model.vector.cov"
+    assert main(["--config", config_file(doc)]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_builds_the_model_once(tmp_path, monkeypatch):
+    built = []
+    for name in ("_build_walk_model", "_build_staggered_model"):
+        def counted(m, build=getattr(config, name)):
+            built.append(m["kind"])
+            return build(m)
+        monkeypatch.setattr(config, name, counted)
+    run(ExperimentConfig.from_dict(full_config(out=str(tmp_path / "w"))))
+    run(ExperimentConfig.from_dict(full_config(
+        kind="constants", model=STAGGERED_MODEL, out=str(tmp_path / "s"))))
+    assert built == ["perturbed_walk", "staggered"]
 
 
 def _readme_kinds() -> dict:

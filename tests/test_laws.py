@@ -200,3 +200,19 @@ def test_gaussian_vector_law_covariance():
     assert np.allclose(np.cov(y.T), target, atol=0.03)
     assert np.array_equal(vl.cov().matrix, target)
 
+
+
+@pytest.mark.parametrize("cov,field", [
+    ("abc", "cov.matrix"),                    # not numbers
+    ([[1.0, None]], "cov.matrix"),            # a null entry reads as NaN
+    ([[1.0, 0.5]], "cov.matrix"),             # not square
+    ([[1.0, 2.0], [2.0, 1.0]], "vector.cov"),  # eigenvalues -1 and 3
+])
+def test_gaussian_vector_law_rejects_bad_covariance(cov, field):
+    # each used to build and fail later: "abc" with a bare ValueError, the
+    # others with a LinAlgError from the Cholesky factor of the first draw
+    with pytest.raises(ConfigurationError) as err:
+        VectorLaw.gaussian(cov)
+    assert err.value.field == field
+    # a PSD matrix whose least eigenvalue rounds below zero still builds
+    VectorLaw.gaussian([[1.0, 1.0], [1.0, 1.0]])

@@ -1,0 +1,132 @@
+"""Compare the CLI outputs of two commits on 13 fixed configs.
+
+Usage:
+    python3 tools/compare_outputs.py [--base REV] [--head REV]
+
+The committed files of ``--base`` (default HEAD~1) and ``--head`` (default
+HEAD) are extracted with ``git archive`` into a temporary directory, as
+``tools/bench_pairs.py`` does.  The configs are the nine
+``_INVARIANCE_DOCS`` of ``tests/test_acceptance.py`` and the four
+``perfbench/workloads.py`` workloads at ``round_seed(7, 0)``, both read
+from the head checkout.  Each config runs once per side as
+``python3 -m renewalsim.cli`` in a fresh process on that side's ``src``.
+For each config one line is printed: whether the CSV bytes, the exit code
+and every manifest field other than ``wall_time_seconds`` are identical.
+Exit code 1 when any of them differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import yaml
+
+from bench_pairs import _extract, _git
+
+
+def _invariance_docs(checkout: Path) -> dict:
+    """``_INVARIANCE_DOCS`` of the checkout's acceptance tests, from the
+    module's top-level assignments alone (its imports need the package)."""
+    tree = ast.parse((checkout / "tests" / "test_acceptance.py").read_text())
+    names: dict = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            exec(compile(ast.Module([node], []), "test_acceptance", "exec"),
+                 names)
+    return names["_INVARIANCE_DOCS"]
+
+
+def configs(checkout: Path) -> dict:
+    """{name: config document without ``out``}, 13 in all."""
+    docs = {f"acceptance:{kind}": dict(doc, kind=kind)
+            for kind, doc in _invariance_docs(checkout).items()}
+    sys.path.insert(0, str(checkout / "perfbench"))
+    try:
+        from workloads import WORKLOADS, round_seed
+    finally:
+        sys.path.pop(0)
+    for name, workload in WORKLOADS.items():
+        doc = workload.config(round_seed(7, 0), out="")
+        del doc["out"]
+        docs[f"perfbench:{name}"] = doc
+    return docs
+
+
+def run_side(checkout: Path, doc: dict, work: Path) -> dict:
+    """One CLI run of ``doc`` on the checkout's source: exit code, CSV
+    bytes and manifest (None where the run wrote none)."""
+    out = work / "out"
+    path = work / "config.yaml"
+    work.mkdir(parents=True)
+    path.write_text(yaml.safe_dump(dict(doc, out=str(out))))
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-m", "renewalsim.cli",
+                           "--config", str(path)], env=env, cwd=work,
+                          capture_output=True, text=True)
+    table = out / f"{doc['kind']}.csv"
+    manifest = out / "manifest.json"
+    result = {"exit": proc.returncode,
+              "csv": table.read_bytes() if table.exists() else None,
+              "manifest": (json.loads(manifest.read_text())
+                           if manifest.exists() else None)}
+    if result["manifest"] is not None:
+        result["manifest"].pop("wall_time_seconds", None)
+    if proc.returncode not in (0, 1):
+        result["stderr"] = proc.stderr.strip().splitlines()[-1:]
+    return result
+
+
+def differences(base: dict, head: dict) -> list:
+    """What differs between two sides' results, as short labels."""
+    diff = []
+    if base["exit"] != head["exit"]:
+        diff.append(f"exit {base['exit']} -> {head['exit']}")
+    if base["csv"] != head["csv"]:
+        diff.append("csv bytes")
+    mb, mh = base["manifest"] or {}, head["manifest"] or {}
+    if (base["manifest"] is None) != (head["manifest"] is None):
+        diff.append("manifest present on one side only")
+    diff += [f"manifest[{k}]" for k in sorted(set(mb) | set(mh))
+             if mb.get(k) != mh.get(k)]
+    return diff
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD~1")
+    parser.add_argument("--head", default="HEAD")
+    args = parser.parse_args(argv)
+    revs = {side: _git("rev-parse", rev)
+            for side, rev in (("base", args.base), ("head", args.head))}
+    print(f"base {revs['base']}\nhead {revs['head']}")
+    differed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {side: Path(tmp) / side for side in revs}
+        for side, rev in revs.items():
+            _extract(rev, dirs[side])
+        docs = configs(dirs["head"])
+        for i, (name, doc) in enumerate(docs.items()):
+            results = {side: run_side(dirs[side], doc,
+                                      Path(tmp) / "runs" / side / str(i))
+                       for side in revs}
+            diff = differences(results["base"], results["head"])
+            differed += bool(diff)
+            status = "DIFFERENT: " + ", ".join(diff) if diff else "identical"
+            stderr = results["head"].get("stderr") or \
+                results["base"].get("stderr")
+            print(f"{name}: {status} (exit {results['base']['exit']}/"
+                  f"{results['head']['exit']})"
+                  + (f" {stderr}" if stderr else ""), flush=True)
+    print(f"{differed} of {len(docs)} configs differ")
+    return 1 if differed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
