@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import json
@@ -195,7 +196,7 @@ def _mappings(doc, path="config"):
 def _with(doc, path, edit):
     """A deep copy of ``doc`` with ``edit`` applied to the mapping at the
     dotted ``path``."""
-    doc = yaml.safe_load(yaml.safe_dump(doc))
+    doc = copy.deepcopy(doc)
     target = doc
     for k in path.split(".")[1:]:
         target = target[k]
@@ -230,16 +231,6 @@ def test_every_key_validates_and_each_unknown_key_is_rejected_at_its_path():
 def test_field_table_names_the_config_fields():
     assert set(config._FIELDS) == {
         f.name for f in dataclasses.fields(ExperimentConfig)}
-
-
-def test_misspelled_stationary_keys_are_rejected():
-    # a misspelt beta and centering used to validate and run beta = 0.5
-    # without centering
-    model = dict(WALK_MODEL, stationary={"kind": "geometric_ma",
-                                         "betta": 0.3, "centred": True})
-    with pytest.raises(ConfigurationError) as err:
-        _validate(full_config(model=model))
-    assert err.value.field == "config.model.stationary.betta"
 
 
 @pytest.mark.parametrize("centered", [False, True])
