@@ -297,7 +297,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 d[name] = v
         cfg = ExperimentConfig.from_dict(d)
         return run(cfg)
-    except (RenewalSimError, FileNotFoundError) as exc:
+    except (RenewalSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,6 @@ from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Optional, Tuple, Union
 
-import numpy as np
 import yaml
 
 from .errors import ConfigurationError
@@ -63,6 +62,18 @@ def _mapping(v, path: str, keys=None) -> dict:
         if keys is not None and k not in keys:
             raise ConfigurationError(f"unknown key {k!r}", f"{path}.{k}")
     return v
+
+
+def _built(make, path: str, keys=()):
+    """``make()``, a library ConfigurationError raised again with its
+    message at ``path``, or at ``path.k`` when its field ends in a key k
+    of ``keys`` (the library's ``law.rate`` at ``...params.rate``)."""
+    try:
+        return make()
+    except ConfigurationError as exc:
+        k = (exc.field or "").rsplit(".", 1)[-1]
+        raise ConfigurationError(exc.message,
+                                 f"{path}.{k}" if k in keys else path) from None
 
 
 def _need(d: dict, key: str, path: str):
@@ -255,17 +266,12 @@ def _build_increment(d, path: str) -> IncrementLaw:
     fam = _as_str(_need(d, "family", path), f"{path}.family", _LAW_PARAMS)
     names = _LAW_PARAMS[fam]
     params = _mapping(_need(d, "params", path), f"{path}.params", names)
-    if fam == "quantile_table":
-        return IncrementLaw.quantile_table(_floats(
-            _need(params, "values", f"{path}.params"),
-            f"{path}.params.values", "values must list at least 2 numbers",
-            least=2))
-    args = [_as_float(_need(params, n, f"{path}.params"), f"{path}.params.{n}")
+    parse = partial(_floats, message="values must list at least 2 numbers",
+                    least=2) if fam == "quantile_table" else _as_float
+    args = [parse(_need(params, n, f"{path}.params"), f"{path}.params.{n}")
             for n in names]
-    try:
-        return getattr(IncrementLaw, fam)(*args)
-    except ConfigurationError as exc:
-        raise ConfigurationError(str(exc), f"{path}.params")
+    return _built(partial(getattr(IncrementLaw, fam), *args),
+                  f"{path}.params", params)
 
 
 def _build_stationary(d, law: IncrementLaw, path: str) -> StationarySpec:
@@ -286,12 +292,11 @@ def _build_stationary(d, law: IncrementLaw, path: str) -> StationarySpec:
         spec = StationarySpec.instantaneous(h)
     else:
         beta = _as_float(d.get("beta", 0.5), f"{path}.beta")
-        if not 0.0 < beta < 1.0:
-            raise ConfigurationError("beta must lie in (0, 1)", f"{path}.beta")
         td = d.get("truncation_depth")
         if td is not None:
             td = _as_int(td, f"{path}.truncation_depth", lo=1)
-        spec = StationarySpec.geometric_ma(h, beta, truncation_depth=td)
+        spec = _built(partial(StationarySpec.geometric_ma, h, beta, td),
+                      path, d)
     return spec.centered(law) if centered else spec
 
 
@@ -310,22 +315,17 @@ def _build_walk_model(m: dict) -> PerturbedWalkModel:
                 _need(v, "coeffs", f"{path}.vector"),
                 f"{path}.vector.coeffs", "coeffs must be a non-empty list"))
         else:
-            cov = _need(v, "cov", f"{path}.vector")
-            try:
-                vector = VectorLaw.gaussian(cov)
-            except ConfigurationError as exc:
-                raise ConfigurationError(str(exc), f"{path}.vector.cov")
+            vector = _built(partial(VectorLaw.gaussian,
+                                    _need(v, "cov", f"{path}.vector")),
+                            f"{path}.vector.cov")
     stationary = _build_stationary(m.get("stationary"), law,
                                    f"{path}.stationary")
     quadratic = None
     if m.get("quadratic") is not None:
         qd = _mapping(m["quadratic"], f"{path}.quadratic", ("Q",))
-        Q = _need(qd, "Q", f"{path}.quadratic")
-        try:
-            quadratic = QuadraticSpec(np.asarray(Q, dtype=float))
-        except (TypeError, ValueError):
-            raise ConfigurationError("Q must be a numeric matrix",
-                                     f"{path}.quadratic.Q")
+        quadratic = _built(partial(QuadraticSpec,
+                                   _need(qd, "Q", f"{path}.quadratic")),
+                           f"{path}.quadratic.Q")
     residual = ResidualSpec.zero()
     if m.get("residual") is not None:
         rd = _mapping(m["residual"], f"{path}.residual", ("kind", "value"))
@@ -340,9 +340,8 @@ def _build_walk_model(m: dict) -> PerturbedWalkModel:
     if m.get("horizon_factor") is not None:
         kw["horizon_factor"] = _as_float(m["horizon_factor"],
                                          f"{path}.horizon_factor")
-    return PerturbedWalkModel(increment_law=law, vector_law=vector,
-                              stationary=stationary, quadratic=quadratic,
-                              residual=residual, n0=n0, **kw)
+    return _built(partial(PerturbedWalkModel, law, vector, stationary,
+                          quadratic, residual, n0, **kw), path, m)
 
 
 def _build_staggered_model(m: dict) -> StaggeredExponentialModel:
@@ -356,8 +355,8 @@ def _build_staggered_model(m: dict) -> StaggeredExponentialModel:
     n0 = _as_int(m.get("n0", 1), f"{path}.n0", lo=1)
     trunc = _as_int(m.get("xi_truncation", 200), f"{path}.xi_truncation",
                     lo=1)
-    return StaggeredExponentialModel(arrival_rate=rate, theta=theta, g=g,
-                                     n0=n0, xi_truncation=trunc)
+    return _built(partial(StaggeredExponentialModel, rate, theta, g, n0,
+                          trunc), path, m)
 
 
 def build_model(cfg: ExperimentConfig):

@@ -10,6 +10,7 @@ class ConfigurationError(RenewalSimError):
 
     def __init__(self, message: str, field: str | None = None):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}" if field else message)
 
 

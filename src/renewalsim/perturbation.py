@@ -242,7 +242,11 @@ class QuadraticSpec:
     Q: np.ndarray
 
     def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.Q, dtype=float))
+        try:
+            q = np.atleast_2d(np.asarray(self.Q, dtype=float))
+        except (TypeError, ValueError):
+            raise ConfigurationError("Q must be a numeric matrix",
+                                     "quadratic.Q") from None
         if q.shape[0] != q.shape[1]:
             raise ConfigurationError("Q must be square", "quadratic.Q")
         if not np.allclose(q, q.T, atol=1e-12 * (1.0 + np.abs(q).max())):

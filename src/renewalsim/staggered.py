@@ -20,17 +20,32 @@ import numpy as np
 
 from .errors import (ConfigurationError, ContractViolationError,
                      StatisticUndefinedError)
-from .first_passage import (BackwardBatch, RenewalConstants, backward_kernel,
-                            backward_stream, constants_from_batch, mean_se)
+from .first_passage import (BackwardBatch, RenewalConstants, _sub_batches,
+                            backward_kernel, backward_stream,
+                            constants_from_batch, mean_se)
 from .parallel import map_replications
 from .perturbation import StationarySpec
-from .rng import RngStream
+from .rng import ReplicationGenerators, RngStream
 from .verification import TheoremReport
 
+# trials are drawn in segments (``_segments``): a passage's of 256 patients
+# after one sized by the level, gaps before lifetimes; the backward rows' of
+# 192 after one longer by the xi depth, lifetimes before gaps
 _TRIAL_BLOCK = 256
-# the backward rows are drawn in segments of 192 (the first one longer by
-# the xi depth), each segment's lifetimes before its interarrival gaps
 _BACK_SEGMENT = 192
+
+
+def _segments(gen: np.random.Generator, n: int, first: int, size: int,
+              scales: tuple, end: float = math.inf) -> np.ndarray:
+    """The first ``n`` (<= ``end``) rows of ``first`` rows, then ``size``
+    rows at a time, cut at row ``end``: each segment draws one exponential
+    column per scale in turn, so the layout fixes every row."""
+    parts, drawn, m = [], 0, first
+    while drawn < n:
+        m = min(m, end - drawn)
+        parts.append(np.column_stack([gen.exponential(s, m) for s in scales]))
+        drawn, m = drawn + m, size
+    return np.concatenate(parts)[:n]
 
 
 @dataclass(frozen=True)
@@ -190,16 +205,15 @@ def simulate_trial(model: StaggeredExponentialModel, n_patients: int,
                    stream: RngStream) -> TrialState:
     """Simulate arrivals and lifetimes up to the (n_patients+1)st arrival.
 
-    Draw order: the n+1 interarrival gaps first, then the n lifetimes.
+    Draw order (one segment): the n interarrival gaps, then the n lifetimes.
     """
     if n_patients < 1:
         raise ConfigurationError("n_patients must be >= 1",
                                  "simulate_trial.n_patients")
-    gen = stream.generator()
-    gaps = gen.exponential(1.0 / model.arrival_rate, n_patients)
-    tau = np.concatenate([[0.0], np.cumsum(gaps)])
-    L = gen.exponential(1.0 / model.theta, n_patients)
-    return TrialState.from_data(tau, L)
+    drawn = _segments(stream.generator(), n_patients, n_patients, n_patients,
+                      (1.0 / model.arrival_rate, 1.0 / model.theta))
+    return TrialState.from_data(
+        np.concatenate([[0.0], np.cumsum(drawn[:, 0])]), drawn[:, 1])
 
 
 def statistic_Z(state: TrialState, g: GStatistic) -> float:
@@ -250,7 +264,8 @@ def statistic_trajectory(state: TrialState, g: GStatistic) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrialPassage:
-    """First crossing of the monitored statistic over the boundary."""
+    """First crossing of the monitored statistic over the boundary, found
+    on ``n_simulated`` patients."""
 
     a: float
     t: float
@@ -266,14 +281,10 @@ class TrialPassage:
         return self.K_t / self.T_star_t if self.crossed else math.nan
 
 
-def trial_first_passage(model: StaggeredExponentialModel, a: float,
-                        stream: RngStream,
-                        horizon: Optional[int] = None) -> TrialPassage:
-    """First n >= n0 with Z_n > a, growing the trial in batches.
-
-    ``horizon`` caps the patient count; required when the statistic has
-    no positive drift (the repeated-significance case under the null).
-    """
+def _passage_layout(model: StaggeredExponentialModel, a: float,
+                    horizon: Optional[int] = None) -> Tuple[int, int]:
+    """(first segment, horizon) of passages over a: the mean crossing
+    index plus 64 (256 without drift), and 10 (a / drift + 100)."""
     drift = model.drift
     if horizon is None:
         if drift <= 0:
@@ -283,28 +294,54 @@ def trial_first_passage(model: StaggeredExponentialModel, a: float,
         horizon = int(math.ceil(10.0 * (a / drift + 100.0)))
     if horizon < model.n0:
         raise ConfigurationError("horizon below n0", "passage.horizon")
-    gen = stream.generator()
     first = min(horizon, max(model.n0,
                              int(math.ceil(a / drift)) + 64 if drift > 0
                              else _TRIAL_BLOCK))
-    gaps = np.empty(0)
-    L = np.empty(0)
-    while len(L) < horizon:
-        grow = first if len(L) == 0 else min(_TRIAL_BLOCK, horizon - len(L))
-        gaps = np.concatenate([gaps,
-                               gen.exponential(1.0 / model.arrival_rate, grow)])
-        L = np.concatenate([L, gen.exponential(1.0 / model.theta, grow)])
-        tau = np.concatenate([[0.0], np.cumsum(gaps)])
-        # patients added later do not change Z_j: a death by tau_j belongs
-        # to a patient k <= j
-        K, T, z = _trajectory(tau, L, model.g)
-        hits = np.nonzero(z[model.n0 - 1:] > a)[0]
-        if hits.size:
-            i = model.n0 - 1 + int(hits[0])
-            return TrialPassage(a, float(i + 1), float(z[i]), float(K[i]),
-                                float(T[i]), True, len(L))
-    return TrialPassage(a, math.nan, math.nan, math.nan, math.nan, False,
-                        len(L))
+    return first, horizon
+
+
+def collect_trials(model: StaggeredExponentialModel, a: float, first: int,
+                   horizon: int, stream: RngStream, reps: int,
+                   rep_offset: int = 0) -> np.ndarray:
+    """Rows (t, Z_t, K_t, T*_t, crossed, max Z over n0..t, patients) of
+    replications rep_offset.. of ``stream``, t the first n >= n0 with
+    Z_n > a.  A trial is drawn in segments (``first`` patients, then
+    _TRIAL_BLOCK, cut at the horizon) and evaluated on first, 2 first, ...
+    patients until it crosses; Z_j reads only patients k <= j, so no value
+    depends on these lengths.  An uncrossed row has NaN t..T*_t and the
+    maximum up to the horizon (a = inf gives the running maximum)."""
+    keys = ReplicationGenerators(stream)
+    scales = (1.0 / model.arrival_rate, 1.0 / model.theta)
+    lo = model.n0 - 1
+
+    def run(idx: np.ndarray, L: int) -> Tuple[np.ndarray, np.ndarray]:
+        out = np.full((len(idx), 7), math.nan)
+        for row, r in zip(out, rep_offset + idx):
+            drawn = _segments(keys.generator(r), L, first, _TRIAL_BLOCK,
+                              scales, horizon)
+            K, T, z = _trajectory(
+                np.concatenate([[0.0], np.cumsum(drawn[:, 0])]), drawn[:, 1],
+                model.g)
+            hits = np.flatnonzero(z[lo:] > a)
+            stop = lo + int(hits[0]) if hits.size else L - 1
+            row[4:] = hits.size > 0, np.max(z[lo:stop + 1]), L
+            if hits.size:
+                row[:4] = stop + 1, z[stop], K[stop], T[stop]
+        return (out[:, 4] == 1.0) | (L >= horizon), out
+
+    return _sub_batches(reps, first, horizon, 0, 7, run)
+
+
+def trial_first_passage(model: StaggeredExponentialModel, a: float,
+                        stream: RngStream,
+                        horizon: Optional[int] = None) -> TrialPassage:
+    """First n >= n0 with Z_n > a on the trial of ``stream``, one row of
+    ``collect_trials``.  ``horizon`` caps the patient count; required when
+    the statistic has no positive drift (the repeated-significance case
+    under the null)."""
+    row = collect_trials(model, a, *_passage_layout(model, a, horizon),
+                         stream, 1, stream.replication_index)[0]
+    return TrialPassage(a, *map(float, row[:4]), bool(row[4]), int(row[6]))
 
 
 # -- decomposition --------------------------------------------------------
@@ -390,19 +427,14 @@ def staggered_backward_batch(model: StaggeredExponentialModel, reps: int,
     (lifetime, interarrival) pairs; replication r uses index
     rep_offset + r."""
     vals, mu, sigma2, _, d_eff, spec = _expansion_ingredients(model)
-    theta, rate = model.theta, model.arrival_rate
+    theta, scales = model.theta, (1.0 / model.theta, 1.0 / model.arrival_rate)
     slack_gen = stream.with_stream(stream.stream_id + 101).generator()
-    wins = np.stack([slack_gen.exponential(1.0 / theta, (4096, d_eff)),
-                     slack_gen.exponential(1.0 / rate, (4096, d_eff))], axis=2)
-    xi_probe = spec.xi(wins)[:, 0]
+    wins = _segments(slack_gen, 4096 * d_eff, 4096 * d_eff, 1, scales)
+    xi_probe = spec.xi(wins.reshape(4096, d_eff, 2))[:, 0]
     xi_slack = abs(float(np.mean(xi_probe))) + 10.0 * float(np.std(xi_probe))
 
-    def draw(gen: np.random.Generator, k: int) -> np.ndarray:
-        more = -(-(k - d_eff) // _BACK_SEGMENT) - 1  # segments after the first
-        return np.concatenate([np.column_stack(
-            [gen.exponential(1.0 / theta, n), gen.exponential(1.0 / rate, n)])
-            for n in [_BACK_SEGMENT + d_eff] + [_BACK_SEGMENT] * more])[:k]
-
+    draw = partial(_segments, first=_BACK_SEGMENT + d_eff,
+                   size=_BACK_SEGMENT, scales=scales)
     # X = mu + g01 (L - 1/theta); an exponential's fourth central moment
     # is 9 / theta^4
     x_of = lambda rows: mu + vals.g01 * (rows[..., 0] - 1.0 / theta)
@@ -452,17 +484,13 @@ class Example1Result:
 def example1_collect(model: StaggeredExponentialModel, a: float, h: float,
                      reps: int, stream: RngStream,
                      rep_offset: int = 0) -> np.ndarray:
-    """Per-trial (stopping index, covered, crossed) rows, shape (reps, 3);
-    replication r uses index rep_offset + r."""
-    out = np.empty((reps, 3))
-    for r in range(reps):
-        p = trial_first_passage(model, a,
-                                stream.with_replication(rep_offset + r))
-        out[r, 0] = p.t
-        out[r, 1] = float(p.crossed and
-                          abs(p.theta_hat - model.theta) <= h)
-        out[r, 2] = float(p.crossed)
-    return out
+    """Per-trial (stopping index, covered, crossed) rows, shape (reps, 3),
+    from ``collect_trials``; replication r uses index rep_offset + r."""
+    rows = collect_trials(model, a, *_passage_layout(model, a), stream, reps,
+                          rep_offset)
+    crossed = rows[:, 4] == 1.0
+    covered = crossed & (np.abs(rows[:, 2] / rows[:, 3] - model.theta) <= h)
+    return np.column_stack([rows[:, 0], covered, crossed])
 
 
 def example1_run(model: StaggeredExponentialModel, h: float, c: float,
@@ -483,16 +511,14 @@ def example1_run(model: StaggeredExponentialModel, h: float, c: float,
     a = c * c / (h * h)
     collected = map_replications(
         partial(example1_collect, model, a, h, stream=stream), reps)
-    t_vals = collected[:, 0]
-    covered = collected[:, 1].astype(bool)
-    ok = collected[:, 2].astype(bool)
+    covered, ok = collected[:, 1] == 1.0, collected[:, 2] == 1.0
     n_ok = int(ok.sum())
     ncf = 1.0 - n_ok / reps
     if ncf > 0.01:
         warnings.warn(f"{ncf:.1%} of trials never crossed", RuntimeWarning)
     if n_ok == 0:
         raise ContractViolationError("no trial crossed the boundary")
-    mean_t, se_t = mean_se(t_vals[ok])
+    mean_t, se_t = mean_se(collected[ok, 0])
     cov = float(np.mean(covered[ok]))
     se_cov = math.sqrt(max(cov * (1.0 - cov), 1e-12) / n_ok)
     constants = staggered_constants(model, backward_reps or reps, stream,
@@ -524,21 +550,6 @@ class Example2Result:
     se_t_rejected: float
 
 
-def example2_collect(model: StaggeredExponentialModel, a: float, horizon: int,
-                     reps: int, stream: RngStream,
-                     rep_offset: int = 0) -> np.ndarray:
-    """Per-trial (stopping index, rejected) rows, shape (reps, 2);
-    replication r uses index rep_offset + r."""
-    out = np.empty((reps, 2))
-    for r in range(reps):
-        p = trial_first_passage(model, a,
-                                stream.with_replication(rep_offset + r),
-                                horizon=horizon)
-        out[r, 0] = p.t
-        out[r, 1] = float(p.crossed)
-    return out
-
-
 def example2_run(model: StaggeredExponentialModel, a: float, reps: int,
                  horizon: int, stream: RngStream) -> Example2Result:
     """Run the repeated likelihood-ratio test to the horizon.
@@ -552,36 +563,16 @@ def example2_run(model: StaggeredExponentialModel, a: float, reps: int,
     if a <= 0:
         raise ConfigurationError("a must be > 0", "example2.a")
     collected = map_replications(
-        partial(example2_collect, model, a, horizon, stream=stream), reps)
-    t_vals = collected[:, 0]
-    rejected = collected[:, 1].astype(bool)
+        partial(collect_trials, model, a, *_passage_layout(model, a, horizon),
+                stream=stream), reps)
+    rejected = collected[:, 4] == 1.0
     rate = float(np.mean(rejected))
     se_rate = math.sqrt(max(rate * (1.0 - rate), 1e-12) / reps)
-    n_rej = int(rejected.sum())
-    if n_rej >= 2:
-        mean_t, se_t = mean_se(t_vals[rejected])
-    else:
-        mean_t, se_t = math.nan, math.nan
+    mean_t, se_t = mean_se(collected[rejected, 0]) if rejected.sum() >= 2 \
+        else (math.nan, math.nan)
     return Example2Result(a=a, horizon=horizon, reps=reps, theta=model.theta,
                           rejection_rate=rate, se_rejection=se_rate,
                           mean_t_rejected=mean_t, se_t_rejected=se_t)
-
-
-def calibrate_lrt_maxima(arrival_rate: float, horizon: int, reps: int,
-                         stream: RngStream, n0: int = 1,
-                         rep_offset: int = 0) -> np.ndarray:
-    """Running maxima of the unit-rate trial statistic over the horizon;
-    replication r uses index rep_offset + r."""
-    g = GStatistic.repeated_lrt()
-    model = StaggeredExponentialModel(arrival_rate=arrival_rate, theta=1.0,
-                                      g=g, n0=n0)
-    maxima = np.empty(reps)
-    for r in range(reps):
-        state = simulate_trial(model, horizon,
-                               stream.with_replication(rep_offset + r))
-        z = statistic_trajectory(state, g)
-        maxima[r] = np.max(z[n0 - 1:])
-    return maxima
 
 
 def _quantile(x: np.ndarray, q: float) -> float:
@@ -604,15 +595,17 @@ def calibrate_lrt_boundary(arrival_rate: float, horizon: int, reps: int,
                            stream: RngStream, level: float = 0.05,
                            n0: int = 1) -> float:
     """Choose a so that the unit-rate trial crosses within the horizon
-    with probability about ``level`` (MC quantile of the running max,
-    the maxima drawn on sub-stream stream_id + 5).
+    with probability about ``level``: the MC quantile of the running
+    maximum of Z over n0..horizon, ``collect_trials`` at a = inf with the
+    trial drawn in one segment, on sub-stream stream_id + 5.
 
     The boundary is a calibration artifact, not a closed form.
     """
     if not 0.0 < level < 1.0:
         raise ConfigurationError("level must be in (0,1)", "calibrate.level")
-    calib = stream.with_stream(stream.stream_id + 5)
+    model = StaggeredExponentialModel(arrival_rate=arrival_rate, theta=1.0,
+                                      g=GStatistic.repeated_lrt(), n0=n0)
     maxima = map_replications(
-        partial(calibrate_lrt_maxima, arrival_rate, horizon, stream=calib,
-                n0=n0), reps)
-    return _quantile(maxima, 1.0 - level)
+        partial(collect_trials, model, math.inf, horizon, horizon,
+                stream=stream.with_stream(stream.stream_id + 5)), reps)
+    return _quantile(maxima[:, 5], 1.0 - level)

@@ -98,7 +98,7 @@ def test_config_rejections(doc, field):
      "config.model.increment.params"),
     ({"kind": "perturbed_walk",
       "increment": {"family": "exponential", "params": {"rate": 1.0}},
-      "quadratic": {"Q": [[0.5]]}}, "model.vector_law"),
+      "quadratic": {"Q": [[0.5]]}}, "config.model"),
     ({"kind": "staggered", "arrival_rate": 1.0, "theta": 1.0, "g": "anova"},
      "config.model.g"),
 ])
@@ -107,6 +107,37 @@ def test_model_rejections(model, field):
     with pytest.raises(ConfigurationError) as err:
         build_model(cfg)
     assert field in str(err.value)
+
+
+_EXP = {"family": "exponential", "params": {"rate": 1.0}}
+
+
+@pytest.mark.parametrize("model,field", [
+    ({"kind": "perturbed_walk", "increment": {
+        "family": "quantile_table", "params": {"values": [-3, -1]}}},
+     "config.model.increment.params"),
+    ({"kind": "perturbed_walk", "increment": {
+        "family": "exponential", "params": {"rate": -1}}},
+     "config.model.increment.params.rate"),
+    ({"kind": "perturbed_walk", "increment": _EXP,
+      "vector": {"kind": "centered_x", "coeffs": [1.0]},
+      "quadratic": {"Q": [[1.0, 0.0], [0.0, 1.0]]}}, "config.model.quadratic"),
+    ({"kind": "perturbed_walk", "increment": _EXP,
+      "quadratic": {"Q": [[0.5]]}}, "config.model"),
+    ({"kind": "perturbed_walk", "increment": _EXP,
+      "vector": {"kind": "gaussian", "cov": [[1.0, 2.0], [2.0, 1.0]]}},
+     "config.model.vector.cov"),
+    (dict(STAGGERED_MODEL, arrival_rate=-1), "config.model.arrival_rate"),
+])
+def test_library_errors_are_raised_at_config_paths(model, field):
+    # the constructors' own fields (law.mean, model.vector_law, ...) give
+    # way to the config path, and the message appears once
+    cfg = ExperimentConfig.from_dict(full_config(model=model))
+    with pytest.raises(ConfigurationError) as err:
+        build_model(cfg)
+    assert err.value.field == field
+    assert str(err.value) == f"{field}: {err.value.message}"
+    assert ":" not in err.value.message
 
 
 def test_cross_field_validation():
@@ -403,6 +434,12 @@ def test_cli_bad_config_exits_2(tmp_path, config_file):
     broken.write_text("kind: [unclosed\n")
     assert main(["--config", str(broken)]) == 2
     assert not (tmp_path / "results").exists()
+
+
+def test_cli_config_directory_exits_2(tmp_path, capsys):
+    # an OS error is a bad invocation (exit 2), not a failed gate (exit 1)
+    assert main(["--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_flags_non_crossing_and_exits_1(tmp_path, config_file):

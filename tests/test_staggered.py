@@ -15,8 +15,8 @@ from renewalsim.errors import (
     ConfigurationError, ContractViolationError, StatisticUndefinedError,
 )
 from renewalsim.staggered import (
-    _quantile, _trajectory, calibrate_lrt_maxima, example1_collect,
-    example2_collect, staggered_backward_batch,
+    _TRIAL_BLOCK, _passage_layout, _quantile, _segments, _trajectory,
+    collect_trials, example1_collect, staggered_backward_batch,
 )
 
 
@@ -332,13 +332,6 @@ def test_example2_smoke(lrt_model):
     # theta = 2 is a strong alternative: rejection should dominate
     assert result.rejection_rate > 0.8
     assert result.mean_t_rejected > 0
-    whole = example2_collect(lrt_model, 3.0, 250, 20, RngStream(44))
-    parts = np.concatenate([
-        example2_collect(lrt_model, 3.0, 250, 7, RngStream(44)),
-        example2_collect(lrt_model, 3.0, 250, 13, RngStream(44),
-                         rep_offset=7),
-    ])
-    assert np.array_equal(whole, parts, equal_nan=True)
     with pytest.raises(ConfigurationError):
         example2_run(lrt_model, a=-1.0, reps=10, horizon=50,
                      stream=RngStream(1))
@@ -363,19 +356,109 @@ def test_quantile_is_numpy_quantile():
 
 
 def test_lrt_calibration_quantile():
-    # the boundary draws its maxima on sub-stream stream_id + 5
-    calib = RngStream(45, stream_id=5)
-    maxima = calibrate_lrt_maxima(1.0, 120, 400, calib)
+    # the boundary is a quantile of the running maxima over the horizon,
+    # drawn in one segment on sub-stream stream_id + 5
+    null = StaggeredExponentialModel(arrival_rate=1.0, theta=1.0,
+                                     g=GStatistic.repeated_lrt())
+    maxima = collect_trials(null, math.inf, 120, 120,
+                            RngStream(45, stream_id=5), 400)[:, 5]
+    for r in (0, 199):
+        z = statistic_trajectory(
+            simulate_trial(null, 120, RngStream(45, r, 5)), null.g)
+        assert maxima[r] == np.max(z)
     a = calibrate_lrt_boundary(1.0, 120, 400, RngStream(45), level=0.05)
     assert a == pytest.approx(float(np.quantile(maxima, 0.95)))
     assert a > 0
-    parts = np.concatenate([
-        calibrate_lrt_maxima(1.0, 120, 150, calib),
-        calibrate_lrt_maxima(1.0, 120, 250, calib, rep_offset=150),
-    ])
-    assert np.array_equal(maxima, parts)
     with pytest.raises(ConfigurationError):
         calibrate_lrt_boundary(1.0, 120, 10, RngStream(45), level=1.5)
+
+
+# (model, a, first, horizon): fixed-width passages with a short first
+# segment, rejection-test passages that may never cross, and the
+# calibration's running maxima (a = inf, one segment)
+_COLLECTOR_CASES = {
+    "fwci": (StaggeredExponentialModel(1.0, 1.0, GStatistic.fixed_width_ci(),
+                                       n0=3), 60.0, 8, 500),
+    "rst": (StaggeredExponentialModel(1.0, 2.0, GStatistic.repeated_lrt()),
+            6.0, 20, 60),
+    "calibration": (StaggeredExponentialModel(
+        1.3, 1.0, GStatistic.repeated_lrt(), n0=2), math.inf, 300, 300),
+}
+
+
+@pytest.mark.parametrize("case", _COLLECTOR_CASES)
+def test_collector_rows_match_one_evaluation_to_the_horizon(case):
+    # the rows found on first, 2 first, ... patients equal those of one
+    # trajectory of the same segmented draw taken to the horizon
+    model, a, first, horizon = _COLLECTOR_CASES[case]
+    rows = collect_trials(model, a, first, horizon, RngStream(47), 60)
+    lo = model.n0 - 1
+    for r, row in enumerate(rows):
+        drawn = _segments(RngStream(47, r).generator(), horizon, first,
+                          _TRIAL_BLOCK, (1.0 / model.arrival_rate,
+                                         1.0 / model.theta), horizon)
+        K, T, z = _trajectory(np.concatenate([[0.0], np.cumsum(drawn[:, 0])]),
+                              drawn[:, 1], model.g)
+        hits = np.flatnonzero(z[lo:] > a)
+        if hits.size:
+            i = lo + hits[0]
+            want = [i + 1, z[i], K[i], T[i], 1.0, np.max(z[lo:i + 1])]
+        else:
+            want = [math.nan] * 4 + [0.0, np.max(z[lo:])]
+        assert np.array_equal(row[:6], want, equal_nan=True)
+        # the evaluation that found the row: first, 2 first, ... patients
+        n = first
+        while n < horizon and not (hits.size and n > lo + hits[0]):
+            n = min(2 * n, horizon)
+        assert row[6] == n
+    if case != "calibration":
+        assert np.any(rows[:, 6] > first)  # rows passed their first segment
+    if case == "rst":
+        assert not rows[:, 4].all()  # and some never crossed
+
+
+@pytest.mark.parametrize("case", _COLLECTOR_CASES)
+def test_collector_chunked_collection_matches(case):
+    model, a, first, horizon = _COLLECTOR_CASES[case]
+    whole = collect_trials(model, a, first, horizon, RngStream(48), 30)
+    parts = np.concatenate([
+        collect_trials(model, a, first, horizon, RngStream(48), 11),
+        collect_trials(model, a, first, horizon, RngStream(48), 19,
+                       rep_offset=11),
+    ])
+    assert np.array_equal(whole, parts, equal_nan=True)
+
+
+def test_passage_layout():
+    fwci = StaggeredExponentialModel(1.0, 1.0, GStatistic.fixed_width_ci())
+    assert _passage_layout(fwci, 100.0) == (164, 2000)
+    assert _passage_layout(fwci, 100.0, horizon=120) == (120, 120)
+    null = StaggeredExponentialModel(1.0, 1.0, GStatistic.repeated_lrt(),
+                                     n0=5)
+    assert _passage_layout(null, 3.0, horizon=700) == (_TRIAL_BLOCK, 700)
+    with pytest.raises(ConfigurationError):
+        _passage_layout(null, 3.0)
+    with pytest.raises(ConfigurationError):
+        _passage_layout(null, 3.0, horizon=4)
+
+
+def test_segments_fix_each_row_by_the_layout():
+    # rows do not depend on how many are asked for; the last segment is
+    # cut at ``end``
+    scales = (1.0, 0.5)
+    full = _segments(RngStream(49).generator(), 50, 20, 8, scales, 50)
+    for n in (1, 20, 21, 37, 50):
+        assert np.array_equal(
+            _segments(RngStream(49).generator(), n, 20, 8, scales, 50),
+            full[:n])
+    gen = RngStream(49).generator()
+    head = [gen.exponential(s, 20) for s in scales]
+    assert np.array_equal(full[:20], np.column_stack(head))
+    tail = gen.exponential(1.0, 8)
+    assert np.array_equal(full[20:28, 0], tail)
+    cut = _segments(RngStream(49).generator(), 46, 20, 8, scales, 46)
+    assert np.array_equal(cut[:44], full[:44])
+    assert not np.array_equal(cut[44:46], full[44:46])
 
 
 def test_model_validation():

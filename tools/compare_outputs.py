@@ -1,4 +1,4 @@
-"""Compare the CLI outputs of two commits on 13 fixed configs.
+"""Compare the CLI outputs of two commits on 15 fixed configs.
 
 Usage:
     python3 tools/compare_outputs.py [--base REV] [--head REV]
@@ -8,7 +8,9 @@ HEAD) are extracted with ``git archive`` into a temporary directory, as
 ``tools/bench_pairs.py`` does.  The configs are the nine
 ``_INVARIANCE_DOCS`` of ``tests/test_acceptance.py`` and the four
 ``perfbench/workloads.py`` workloads at ``round_seed(7, 0)``, both read
-from the head checkout.  Each config runs once per side as
+from the head checkout, and two staggered configs whose trials run past
+their first draw segment: the calibrated ``example-rst`` doc at horizon
+700 and the ``example-fwci`` doc at h = 0.05.  Each config runs once per side as
 ``python3 -m renewalsim.cli`` in a fresh process on that side's ``src``.
 For each config one line is printed: whether the CSV bytes, the exit code
 and every manifest field other than ``wall_time_seconds`` are identical.
@@ -44,7 +46,7 @@ def _invariance_docs(checkout: Path) -> dict:
 
 
 def configs(checkout: Path) -> dict:
-    """{name: config document without ``out``}, 13 in all."""
+    """{name: config document without ``out``}, 15 in all."""
     docs = {f"acceptance:{kind}": dict(doc, kind=kind)
             for kind, doc in _invariance_docs(checkout).items()}
     sys.path.insert(0, str(checkout / "perfbench"))
@@ -56,6 +58,10 @@ def configs(checkout: Path) -> dict:
         doc = workload.config(round_seed(7, 0), out="")
         del doc["out"]
         docs[f"perfbench:{name}"] = doc
+    docs["multi-segment:example-rst"] = dict(
+        docs["acceptance:example-rst"], horizon=700)
+    docs["multi-segment:example-fwci"] = dict(
+        docs["acceptance:example-fwci"], h=0.05, reps=400)
     return docs
 
 
