@@ -241,6 +241,7 @@ def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; write `<kind>.csv` and `manifest.json`
     under cfg.out.  Returns the process exit code."""
     model = validate_for_kind(cfg)
+    os.makedirs(cfg.out, exist_ok=True)
     started = time.monotonic()
     with warnings.catch_warnings(record=True) as caught, \
             shared_pool(cfg.workers):
@@ -248,7 +249,6 @@ def run(cfg: ExperimentConfig) -> int:
         out = _RUNNERS[cfg.kind](cfg, model, RngStream(cfg.seed))
     raise_again(caught)
     wall = time.monotonic() - started
-    os.makedirs(cfg.out, exist_ok=True)
     table = os.path.join(cfg.out, f"{cfg.kind}.csv")
     _write_csv(table, out.header, out.rows)
     manifest = {

@@ -379,4 +379,9 @@ def validate_for_kind(cfg: ExperimentConfig):
         if getattr(cfg, name) is None:
             raise ConfigurationError(f"{cfg.kind} needs {name}",
                                      f"config.{name}")
-    return build_model(cfg)
+    model = build_model(cfg)
+    if "horizon" in fields_needed and cfg.horizon < model.n0:
+        raise ConfigurationError(
+            f"horizon {cfg.horizon} below the model's n0 = {model.n0}",
+            "config.horizon")
+    return model

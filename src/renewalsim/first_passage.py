@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, Iterator, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -161,6 +163,42 @@ def _sub_batches(reps: int, length: int, limit: int, extra: int, width: int,
     return out
 
 
+class _Workspace:
+    """Arrays reused by the sub-batches of a kernel call, so that none
+    faults in fresh pages: ``take(name, shape)`` is a view of the first
+    elements of the buffer ``name``.  A buffer holds a sub-batch of
+    _BLOCK_ELEMENTS entries over the first two axes, and grows only for a
+    sub-batch of one longer row."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, shape: Tuple[int, ...],
+             dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            per_row = math.prod(shape[2:])
+            buf = self._buffers[name] = np.empty(
+                max(size, _BLOCK_ELEMENTS * per_row), dtype)
+        return buf[:size].reshape(shape)
+
+
+_IDLE: list = []  # workspaces that no kernel call is using
+
+
+@contextmanager
+def _workspace() -> Iterator[_Workspace]:
+    """The workspace of one kernel call, taken from the process's idle
+    ones and given back at the end, so that its pages stay mapped from
+    call to call (a call made inside another gets a workspace of its own)."""
+    ws = _IDLE.pop() if _IDLE else _Workspace()
+    try:
+        yield ws
+    finally:
+        _IDLE.append(ws)
+
+
 @dataclass(frozen=True)
 class PathBlock:
     """Paths up to index L: column j is index j + 1 (W: W_{1-D}..W_L).
@@ -181,29 +219,29 @@ class PathBlock:
 
 
 def _simulate_block(model: PerturbedWalkModel, keys: ReplicationGenerators,
-                    reps: np.ndarray, L: int, work: np.ndarray) -> PathBlock:
+                    reps: np.ndarray, L: int, ws: _Workspace) -> PathBlock:
     """Paths of replications ``reps`` (stream indices) up to index L.
 
-    W and S are views of ``work``, which must hold both; the next block
+    W, S, T, Z and a shifted zeta are views of ``ws``; the next block
     overwrites them."""
     law, D, vl = model.increment_law, model.stationary.depth, model.vector_law
-    rows, size = len(reps), len(reps) * (D + L)
-    W = work[:size].reshape(rows, D + L)
-    gaussian = vl is not None and vl.kind == "gaussian"
-    Y = np.empty((rows, L, vl.d)) if gaussian else None
-    for i, r in enumerate(reps):
-        gen = keys.generator(r)
-        if not gaussian:
-            law.sample(gen, D + L, out=W[i])
-            continue
-        law.sample(gen, D, out=W[i, :D])
-        for lo in range(0, L, _CHUNK):  # normals drawn after each chunk
-            w = W[i, D + lo:D + lo + _CHUNK]
-            law.sample(gen, len(w), out=w)
-            Y[i, lo:lo + _CHUNK] = vl.materialize(w, gen)
-    S = _partial_sums(W[:, D:], work[size:size + rows * L].reshape(rows, L))
-    if vl is not None and not gaussian:
-        Y = vl.materialize(W[:, D:], None)
+    rows = len(reps)
+    W = ws.take("W", (rows, D + L))
+    Y = None if vl is None else ws.take("Y", (rows, L, vl.d))
+    if vl is not None and vl.kind == "gaussian":
+        for i, r in enumerate(reps):
+            gen = keys.generator(r)
+            law.standard(gen, W[i, :D])
+            for lo in range(0, L, _CHUNK):  # normals drawn after each chunk
+                w = W[i, D + lo:D + lo + _CHUNK]
+                law.standard(gen, w)
+                vl.materialize(w, gen, out=Y[i, lo:lo + _CHUNK])
+        law.scale(W)
+    else:
+        law.sample_rows(map(keys.generator, reps), W)
+        if vl is not None:
+            vl.materialize(W[:, D:], None, out=Y)
+    S = _partial_sums(W[:, D:], ws.take("S", (rows, L)))
     T = None if Y is None else _partial_sums(Y, Y)
     zero = np.broadcast_to(0.0, S.shape)
     xi = zero if model.stationary.kind == "zero" else \
@@ -211,19 +249,21 @@ def _simulate_block(model: PerturbedWalkModel, keys: ReplicationGenerators,
     zeta = zero if model.quadratic is None else \
         zeta_quadratic_path(T, model.quadratic)
     if model.residual.kind != "zero":
-        zeta = zeta + model.residual.value
+        zeta = np.add(zeta, model.residual.value,
+                      out=ws.take("zeta", S.shape))
     Z = S
     for term in (xi, zeta):  # Z = (S + xi) + zeta, absent terms skipped
         if term is not zero:
-            Z = S + term if Z is S else np.add(Z, term, out=Z)
+            Z = np.add(Z, term, out=ws.take("Z", S.shape))
     return PathBlock(W, S, T, xi, zeta, Z)
 
 
 def block_length(model: PerturbedWalkModel, level: float) -> int:
     """Forward block length for paths that must pass ``level``: the mean
-    passage index plus 4 of its standard deviations, plus 32."""
+    passage index plus 2 of its standard deviations, plus 8 (the few rows
+    that pass it are drawn again at twice the length)."""
     steps = max(level, 0.0) / model.mu
-    return int(steps + 4.0 * math.sqrt(model.sigma2 * steps) / model.mu) + 32
+    return int(steps + 2.0 * math.sqrt(model.sigma2 * steps) / model.mu) + 8
 
 
 def forward_kernel(model: PerturbedWalkModel, stream: RngStream, reps: int,
@@ -240,15 +280,11 @@ def forward_kernel(model: PerturbedWalkModel, stream: RngStream, reps: int,
     if model.vector_law is not None and model.vector_law.kind == "gaussian":
         length = -(-length // _CHUNK) * _CHUNK  # keep the normals' layout
     keys = ReplicationGenerators(stream)
-    D = model.stationary.depth
-    # W and S of every sub-batch.  The allocator returns freed arrays of
-    # this size to the system, so fresh ones would be fresh pages each
-    # sub-batch, and faulting those in cost about as much as the draws
-    work = np.empty(2 * max(_BLOCK_ELEMENTS, D + horizon))
-    return _sub_batches(
-        reps, length, horizon, D, width,
-        lambda idx, L: reduce(_simulate_block(model, keys, rep_offset + idx,
-                                              L, work), L >= horizon))
+    with _workspace() as ws:
+        return _sub_batches(
+            reps, length, horizon, model.stationary.depth, width,
+            lambda idx, L: reduce(_simulate_block(
+                model, keys, rep_offset + idx, L, ws), L >= horizon))
 
 
 def _passage_stats(model: PerturbedWalkModel, a: float, block: PathBlock,
@@ -430,7 +466,8 @@ def _exit_depth(mu: float, sigma: float, xi_slack: float) -> int:
     return max(16, int(math.ceil(root * root + 4.0 * sigma * root / mu)))
 
 
-def backward_kernel(draw: Callable[[np.random.Generator, int], np.ndarray],
+def backward_kernel(draw: Callable[[Iterable[np.random.Generator],
+                                    np.ndarray], np.ndarray],
                     x_of: Callable[[np.ndarray], np.ndarray],
                     spec: StationarySpec, mu: float, sigma2: float,
                     kappa4: float, xi_slack: float, depth: Optional[int],
@@ -438,8 +475,11 @@ def backward_kernel(draw: Callable[[np.random.Generator, int], np.ndarray],
                     rep_offset: int) -> BackwardBatch:
     """Backward functional of replications rep_offset..rep_offset+reps-1.
 
-    ``draw(gen, k)`` gives a replication's backward rows W_0..W_{1-k};
-    ``x_of`` and ``spec.xi_backward`` map them to X and to xi_0, xi_{-1}, ....
+    ``draw(gens, out)`` fills row i of ``out`` (rows, k), or (rows, k, 2)
+    for the staggered residual's (lifetime, interarrival) pairs, with the
+    backward driving values W_0..W_{1-k} of the i-th generator's
+    replication; ``x_of`` and ``spec.xi_backward`` map them to X and to
+    xi_0, xi_{-1}, ....
     A row's infimum runs up to the first i where X_0 + ... + X_{-(i-1)}
     - 10 sigma sqrt(i) - xi_slack exceeds the running minimum of
     Z*_{-i} - xi_0; a row with no such i <= cap is truncated at j = -cap.
@@ -459,27 +499,36 @@ def backward_kernel(draw: Callable[[np.random.Generator, int], np.ndarray],
             f"probability about {resid:.2e}", RuntimeWarning)
     sigma = math.sqrt(sigma2)
     D = max(spec.depth, 1)
+    pair = (2,) if spec.kind == "staggered_residual" else ()
     keys = ReplicationGenerators(stream)
 
     def explore(idx: np.ndarray, I: int) -> Tuple[np.ndarray, np.ndarray]:
-        rows = np.stack([draw(keys.generator(rep_offset + r), I + D)
-                         for r in idx])
+        n = len(idx)
+        rows = draw(map(keys.generator, rep_offset + idx),
+                    ws.take("W", (n, I + D) + pair))
         xi = spec.xi_backward(rows)
-        c = np.cumsum(x_of(rows)[:, :I], axis=1)  # X_0 + ... + X_{-(i-1)}
-        vals = c - xi[:, 1:I + 1]                 # Z*_{-i} - xi_0
+        # X_0 + ... + X_{-(i-1)}, then Z*_{-i} - xi_0 and its running minimum
+        c = np.cumsum(x_of(rows)[:, :I], axis=1, out=ws.take("S", (n, I)))
+        vals = np.subtract(c, xi[:, 1:I + 1], out=ws.take("Z", (n, I)))
+        low = np.minimum.accumulate(vals, axis=1, out=ws.take("low", (n, I)))
         i = np.arange(1, I + 1)
-        exit_ok = (c - 10.0 * sigma * np.sqrt(i) - xi_slack) > \
-            np.minimum.accumulate(vals, axis=1)
+        c -= 10.0 * sigma * np.sqrt(i)
+        c -= xi_slack
+        exit_ok = np.greater(c, low, out=ws.take("exit", (n, I), bool))
         exited = exit_ok.any(axis=1)
         stop = np.where(exited, exit_ok.argmax(axis=1), I - 1)
-        prefix = np.where(i <= stop[:, None] + 1, vals, np.inf)
         xi0 = xi[:, 0]
+        first = vals[:, 0] + xi0
+        # the prefix up to the exit: vals with inf past it
+        np.copyto(vals, np.inf,
+                  where=np.greater(i, stop[:, None] + 1, out=exit_ok))
         return exited | (I >= cap), np.column_stack(
-            [prefix.min(axis=1) + xi0, xi0, vals[:, 0] + xi0,
-             -(prefix.argmin(axis=1) + 1), ~exited])
+            [vals.min(axis=1) + xi0, xi0, first,
+             -(vals.argmin(axis=1) + 1), ~exited])
 
-    out = _sub_batches(reps, _exit_depth(mu, sigma, xi_slack), cap, D, 5,
-                       explore)
+    with _workspace() as ws:
+        out = _sub_batches(reps, _exit_depth(mu, sigma, xi_slack), cap, D, 5,
+                           explore)
     n_trunc = int(out[:, 4].sum())
     if n_trunc:
         warnings.warn(f"{n_trunc}/{reps} backward replications hit the "
@@ -500,7 +549,7 @@ def backward_min_functional(model: PerturbedWalkModel, depth: Optional[int],
     flagged and a residual dip probability is estimated for the warning.
     """
     law = model.increment_law
-    return backward_kernel(law.sample, lambda w: w, model.stationary,
+    return backward_kernel(law.sample_rows, lambda w: w, model.stationary,
                            law.mean, law.variance, law.central_moment4,
                            model.xi_slack(stream), depth, stream, reps,
                            rep_offset)

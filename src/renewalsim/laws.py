@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -171,32 +171,59 @@ class IncrementLaw:
     def sample(self, gen: np.random.Generator, n: int,
                out: Optional[np.ndarray] = None) -> np.ndarray:
         """n draws, written into ``out`` (a contiguous float64 array of n
-        values) when given.  Each family scales standard variates as
-        ``gen.exponential``, ``gamma``, ``normal`` and ``uniform`` do, so
-        both forms give the same bits and leave ``gen`` at the same state."""
-        k, p = self.kind, self.params
+        values) when given: ``standard`` variates, then ``scale``, as
+        ``sample_rows`` draws each row of a block.  Each family scales
+        standard variates as ``gen.exponential``, ``gamma``, ``normal`` and
+        ``uniform`` do, so both forms give the same bits and leave ``gen``
+        at the same state."""
         if n < 0:
             raise ConfigurationError("n must be >= 0", "sample.n")
         out = np.empty(n) if out is None else out
+        return self.scale(self.standard(gen, out))
+
+    def sample_rows(self, gens: Iterable[np.random.Generator],
+                    out: np.ndarray) -> np.ndarray:
+        """Row i of ``out`` (rows, n) drawn from the i-th generator of
+        ``gens``: standard variates row by row, then one ``scale`` of the
+        whole block, which gives each value the bits ``sample`` gives it."""
+        for gen, row in zip(gens, out):
+            self.standard(gen, row)
+        return self.scale(out)
+
+    def standard(self, gen: np.random.Generator,
+                 out: np.ndarray) -> np.ndarray:
+        """Fill the contiguous ``out`` with the family's standard variates
+        from ``gen``: standard exponential, gamma of the shape or normal
+        variates, uniforms on [0, 1) for the uniform law and the quantile
+        table, and none for the deterministic law."""
+        k = self.kind
         if k == "exponential":
             gen.standard_exponential(out=out)
-            out *= 1.0 / p[0]
         elif k == "gamma":
-            gen.standard_gamma(p[0], out=out)
-            out *= 1.0 / p[1]
+            gen.standard_gamma(self.params[0], out=out)
         elif k == "normal":
             gen.standard_normal(out=out)
-            out *= p[1]
-            out += p[0]
-        elif k == "uniform":
+        elif k != "deterministic":
             gen.random(out=out)
-            out *= p[1] - p[0]
-            out += p[0]
-        elif k == "deterministic":
-            out[...] = p[0]
-        else:
-            out[...] = self.ppf(gen.random(n))
         return out
+
+    def scale(self, x: np.ndarray) -> np.ndarray:
+        """Map the standard variates ``x`` (any shape) of ``standard`` to
+        the law, in place and value by value."""
+        k, p = self.kind, self.params
+        if k in ("exponential", "gamma"):
+            x *= 1.0 / p[-1]  # the rate
+        elif k == "normal":
+            x *= p[1]
+            x += p[0]
+        elif k == "uniform":
+            x *= p[1] - p[0]
+            x += p[0]
+        elif k == "deterministic":
+            x[...] = p[0]
+        else:
+            x[...] = self.ppf(x)
+        return x
 
     def ppf(self, q) -> np.ndarray:
         k, p = self.kind, self.params
@@ -293,18 +320,28 @@ class VectorLaw:
             return self
         return replace(self, center=law.mean, w_variance=law.variance)
 
-    def materialize(self, w: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    def materialize(self, w: np.ndarray, gen: np.random.Generator,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
         """Vector increments for driving values ``w`` of any shape, shape
-        (*w.shape, d); each row depends on its own W only, except that a
-        Gaussian law draws its standard normals from ``gen``."""
+        (*w.shape, d), written into ``out`` when given; each row depends on
+        its own W only, except that a Gaussian law draws its standard
+        normals from ``gen``."""
         if self.kind == "centered_x":
             if self.center is None:
                 raise ConfigurationError("centered_x law is unbound; call bind()",
                                          "vector.center")
-            return (w - self.center)[..., None] * np.asarray(self.coeffs)
+            if out is None:
+                out = np.empty(np.shape(w) + (self.dim,))
+            np.subtract(np.expand_dims(w, -1), self.center, out=out)
+            out *= np.asarray(self.coeffs)
+            return out
         chol = np.linalg.cholesky(
             self.cov_matrix + 1e-15 * np.eye(self.dim))
-        return gen.standard_normal(np.shape(w) + (self.dim,)) @ chol.T
+        y = gen.standard_normal(np.shape(w) + (self.dim,)) @ chol.T
+        if out is None:
+            return y
+        out[...] = y
+        return out
 
     def cov(self, law: Optional[IncrementLaw] = None) -> CovarianceEstimate:
         """Covariance of Y_1."""

@@ -433,8 +433,12 @@ def staggered_backward_batch(model: StaggeredExponentialModel, reps: int,
     xi_probe = spec.xi(wins.reshape(4096, d_eff, 2))[:, 0]
     xi_slack = abs(float(np.mean(xi_probe))) + 10.0 * float(np.std(xi_probe))
 
-    draw = partial(_segments, first=_BACK_SEGMENT + d_eff,
-                   size=_BACK_SEGMENT, scales=scales)
+    def draw(gens, out):
+        for gen, row in zip(gens, out):
+            row[...] = _segments(gen, len(row), _BACK_SEGMENT + d_eff,
+                                 _BACK_SEGMENT, scales)
+        return out
+
     # X = mu + g01 (L - 1/theta); an exponential's fourth central moment
     # is 9 / theta^4
     x_of = lambda rows: mu + vals.g01 * (rows[..., 0] - 1.0 / theta)

@@ -289,6 +289,33 @@ def test_bad_gaussian_cov_is_rejected_at_validation(cov, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("a", [None, 3.0])
+def test_horizon_below_n0_is_rejected_at_validation(a, tmp_path,
+                                                    config_file):
+    # calibrated (no a) and fixed-boundary example-rst runs alike
+    model = dict(STAGGERED_MODEL, g="repeated_lrt", n0=50)
+    doc = full_config(kind="example-rst", model=model, horizon=40, a=a,
+                      out=str(tmp_path / "o"))
+    with pytest.raises(ConfigurationError) as err:
+        _validate(doc)
+    assert err.value.field == "config.horizon"
+    assert main(["--config", config_file(doc)]) == 2
+    assert not (tmp_path / "o").exists()
+    _validate(dict(doc, horizon=50))
+
+
+def test_cli_out_naming_a_file_fails_before_the_runner(tmp_path, config_file,
+                                                       monkeypatch, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    calls = []
+    monkeypatch.setitem(cli._RUNNERS, "simulate",
+                        lambda *args: calls.append(args))
+    assert main(["--config", config_file(full_config(out=str(afile)))]) == 2
+    assert calls == []
+    assert "File exists" in capsys.readouterr().err
+
+
 def test_cli_run_builds_the_model_once(tmp_path, monkeypatch):
     built = []
     for name in ("_build_walk_model", "_build_staggered_model"):

@@ -1,6 +1,8 @@
 """The batched kernels against the scalar per-replication reference in
 ``oracles``, and their independence of how replications are batched."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from renewalsim import (EventPredicate, IncrementLaw, PassageSamples,
                         PerturbedWalkModel, QuadraticSpec, RngStream,
                         StationarySpec, VectorLaw, backward_min_functional,
                         collect_passage)
+from renewalsim import first_passage
+from renewalsim.first_passage import (_passage_stats, block_length,
+                                      forward_kernel)
 from renewalsim.parallel import join_chunks
 from renewalsim.perturbation import ResidualSpec
 from renewalsim.staggered import staggered_backward_batch
@@ -184,3 +189,32 @@ def test_backward_chunk_equivalence_across_sub_batches(tm1_model, fwci_model):
                       "truncated"):
             assert np.array_equal(getattr(whole, field),
                                   getattr(joined, field))
+
+
+def _batch_fields(batch):
+    return [getattr(batch, f) for f in ("inf_value", "xi0", "first_value",
+                                        "attained_index", "truncated")]
+
+
+def test_results_do_not_depend_on_the_first_block(models, fwci_model,
+                                                  monkeypatch):
+    # rows that pass a first block are drawn again from their own key at
+    # twice its length, so a first forward block of 1, the level's
+    # block_length or the whole horizon, and a first backward depth of 16,
+    # all give the same values
+    for name, model, a in models:
+        horizon = model.horizon(a)
+        runs = [forward_kernel(model, STREAM, 150, 3, length, horizon,
+                               partial(_passage_stats, model, a), 5)
+                for length in (1, block_length(model, a), horizon)]
+        for run in runs[1:]:
+            assert np.array_equal(run, runs[0], equal_nan=True), name
+    collects = [lambda: staggered_backward_batch(fwci_model, 60, STREAM,
+                                                 rep_offset=9)]
+    collects += [partial(backward_min_functional, model, None, 60, STREAM, 9)
+                 for _, model, _ in models]
+    default = [_batch_fields(collect()) for collect in collects]
+    monkeypatch.setattr(first_passage, "_exit_depth", lambda *args: 16)
+    for collect, ref in zip(collects, default):
+        for new, old in zip(_batch_fields(collect()), ref):
+            assert np.array_equal(new, old)

@@ -1,4 +1,4 @@
-"""Compare the CLI outputs of two commits on 15 fixed configs.
+"""Compare the CLI outputs of two commits on 17 fixed configs.
 
 Usage:
     python3 tools/compare_outputs.py [--base REV] [--head REV]
@@ -10,7 +10,11 @@ HEAD) are extracted with ``git archive`` into a temporary directory, as
 ``perfbench/workloads.py`` workloads at ``round_seed(7, 0)``, both read
 from the head checkout, and two staggered configs whose trials run past
 their first draw segment: the calibrated ``example-rst`` doc at horizon
-700 and the ``example-fwci`` doc at h = 0.05.  Each config runs once per side as
+700 and the ``example-fwci`` doc at h = 0.05.  The last two draw W from
+laws other than exp(1), whose standard variates are scaled apart from
+the draw: a plain N(1, 1) walk, which steps down (``simulate``, a = 200),
+and gamma(2, 2) increments with a 2-d Gaussian vector, |W| as xi and a
+mixed-sign Q (``verify-thm4``).  Each config runs once per side as
 ``python3 -m renewalsim.cli`` in a fresh process on that side's ``src``.
 For each config one line is printed: whether the CSV bytes, the exit code
 and every manifest field other than ``wall_time_seconds`` are identical.
@@ -46,7 +50,7 @@ def _invariance_docs(checkout: Path) -> dict:
 
 
 def configs(checkout: Path) -> dict:
-    """{name: config document without ``out``}, 15 in all."""
+    """{name: config document without ``out``}, 17 in all."""
     docs = {f"acceptance:{kind}": dict(doc, kind=kind)
             for kind, doc in _invariance_docs(checkout).items()}
     sys.path.insert(0, str(checkout / "perfbench"))
@@ -62,6 +66,20 @@ def configs(checkout: Path) -> dict:
         docs["acceptance:example-rst"], horizon=700)
     docs["multi-segment:example-fwci"] = dict(
         docs["acceptance:example-fwci"], h=0.05, reps=400)
+    docs["non-exponential:normal-walk"] = {
+        "kind": "simulate", "seed": 41, "reps": 2500, "a_grid": [200.0],
+        "model": {"kind": "perturbed_walk", "increment": {
+            "family": "normal", "params": {"mean": 1.0, "sd": 1.0}}}}
+    docs["non-exponential:gamma-gaussian"] = {
+        "kind": "verify-thm4", "seed": 42, "reps": 1500,
+        "a_grid": [10.0, 20.0],
+        "model": {"kind": "perturbed_walk", "increment": {
+            "family": "gamma", "params": {"shape": 2.0, "rate": 2.0}},
+            "vector": {"kind": "gaussian",
+                       "cov": [[1.0, 0.3], [0.3, 0.5]]},
+            "stationary": {"kind": "instantaneous", "h": "abs",
+                           "centered": True},
+            "quadratic": {"Q": [[0.5, 0.0], [0.0, -0.25]]}}}
     return docs
 
 
