@@ -22,10 +22,10 @@ from .mixture import (ChiSquareMixture, mixture_cdf, mixture_quantile,
 from .parallel import map_replications, shared_pool
 from .first_passage import (BackwardBatch, PassageSamples, PassageSummary,
                             PerturbedWalkModel, RenewalConstants,
-                            backward_min_functional, collect_passage,
-                            constants_from_batch, estimate_rho_nu,
-                            excess_cdf_from_backward,
-                            recommended_backward_depth,
+                            backward_min_functional, collect_levels,
+                            collect_passage, constants_from_batch,
+                            estimate_rho_nu, excess_cdf_from_backward,
+                            passage_levels, recommended_backward_depth,
                             residual_dip_probability, summarize_levels,
                             summarize_passage)
 from .verification import (EventPredicate, Lemma1Row, Lemma3Row,

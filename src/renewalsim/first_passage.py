@@ -226,28 +226,36 @@ def _simulate_block(model: PerturbedWalkModel, keys: ReplicationGenerators,
     overwrites them."""
     law, D, vl = model.increment_law, model.stationary.depth, model.vector_law
     rows = len(reps)
-    W = ws.take("W", (rows, D + L))
-    Y = None if vl is None else ws.take("Y", (rows, L, vl.d))
     if vl is not None and vl.kind == "gaussian":
+        # whole chunks, each one's normals drawn after its W, so that every
+        # value is the same at any L; then views of the first L
+        whole = -(-L // _CHUNK) * _CHUNK
+        W = ws.take("W", (rows, D + whole))
+        Y = ws.take("Y", (rows, whole, vl.d))
         for i, r in enumerate(reps):
             gen = keys.generator(r)
             law.standard(gen, W[i, :D])
-            for lo in range(0, L, _CHUNK):  # normals drawn after each chunk
+            for lo in range(0, whole, _CHUNK):
                 w = W[i, D + lo:D + lo + _CHUNK]
                 law.standard(gen, w)
                 vl.materialize(w, gen, out=Y[i, lo:lo + _CHUNK])
+        W, Y = W[:, :D + L], Y[:, :L]
         law.scale(W)
     else:
+        W = ws.take("W", (rows, D + L))
+        Y = None if vl is None else ws.take("Y", (rows, L, vl.d))
         law.sample_rows(map(keys.generator, reps), W)
         if vl is not None:
             vl.materialize(W[:, D:], None, out=Y)
     S = _partial_sums(W[:, D:], ws.take("S", (rows, L)))
     T = None if Y is None else _partial_sums(Y, Y)
     zero = np.broadcast_to(0.0, S.shape)
+    # xi's lag products go through Z's buffer, which Z overwrites later
     xi = zero if model.stationary.kind == "zero" else \
-        model.stationary.xi_path(W, L)
+        model.stationary.xi_path(W, L, ws.take("xi", (rows, L + 1)),
+                                 ws.take("Z", (rows, L + 1)))
     zeta = zero if model.quadratic is None else \
-        zeta_quadratic_path(T, model.quadratic)
+        zeta_quadratic_path(T, model.quadratic, ws.take("zeta", S.shape))
     if model.residual.kind != "zero":
         zeta = np.add(zeta, model.residual.value,
                       out=ws.take("zeta", S.shape))
@@ -278,7 +286,7 @@ def forward_kernel(model: PerturbedWalkModel, stream: RngStream, reps: int,
     reused for the next sub-batch, so the values must not be views of
     them."""
     if model.vector_law is not None and model.vector_law.kind == "gaussian":
-        length = -(-length // _CHUNK) * _CHUNK  # keep the normals' layout
+        length = -(-length // _CHUNK) * _CHUNK  # use every normal drawn
     keys = ReplicationGenerators(stream)
     with _workspace() as ws:
         return _sub_batches(
@@ -287,32 +295,43 @@ def forward_kernel(model: PerturbedWalkModel, stream: RngStream, reps: int,
                 model, keys, rep_offset + idx, L, ws), L >= horizon))
 
 
-def _passage_stats(model: PerturbedWalkModel, a: float, block: PathBlock,
+def _passage_stats(model: PerturbedWalkModel, levels: Sequence[float],
+                   horizons: Sequence[int], block: PathBlock,
                    final: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """(t_a, R_a, xi, zeta, crossed) per row; an uncrossed row is done at
-    the horizon, with t_a the horizon and NaN values."""
-    eligible = block.Z > a
-    if model.n0 > 1:
-        eligible &= block.n >= model.n0
-    j = eligible.argmax(axis=1)
-    rows = np.arange(len(j))
-    crossed = eligible[rows, j]
-    at = lambda x: np.where(crossed, x[rows, j], math.nan)
-    t = np.where(crossed, j + 1, block.S.shape[1])
-    return crossed | final, np.column_stack(
-        [t, at(block.Z) - a, at(block.xi), at(block.zeta), crossed])
+    """(t_a, R_a, xi, zeta) per row at each level a of ``levels``, with
+    t_a = inf{n0 <= n <= horizon : Z_n > a} for the level's horizon.  A
+    row is done once each level is crossed or its horizon reached; an
+    uncrossed level has t_a the horizon and NaN values."""
+    L = block.S.shape[1]
+    rows = np.arange(len(block.S))
+    done = np.ones(len(rows), dtype=bool)
+    cols = []
+    for a, horizon in zip(levels, horizons):
+        eligible = block.Z[:, :horizon] > a
+        eligible[:, :model.n0 - 1] = False
+        j = eligible.argmax(axis=1)
+        crossed = eligible[rows, j]
+        done &= crossed | (L >= horizon)
+        at = lambda x: np.where(crossed, x[rows, j], math.nan)
+        cols += [np.where(crossed, j + 1, horizon), at(block.Z) - a,
+                 at(block.xi), at(block.zeta)]
+    return done, np.column_stack(cols)
 
 
 @dataclass(frozen=True)
 class PassageSamples:
-    """Per-replication stopped values over a batch of replications."""
+    """Per-replication stopped values over a batch of replications; R, xi
+    and zeta are NaN where the path did not cross by the horizon."""
 
     a: float
     t: np.ndarray
     R: np.ndarray
     xi: np.ndarray
     zeta: np.ndarray
-    crossed: np.ndarray
+
+    @property
+    def crossed(self) -> np.ndarray:
+        return ~np.isnan(self.R)
 
     @property
     def reps(self) -> int:
@@ -323,18 +342,34 @@ class PassageSamples:
         return float(1.0 - np.mean(self.crossed))
 
 
-def collect_passage(model: PerturbedWalkModel, a: float, reps: int,
-                    stream: RngStream, rep_offset: int = 0) -> PassageSamples:
-    """Stopped samples for replications rep_offset..rep_offset+reps-1.
+def collect_levels(model: PerturbedWalkModel, a_grid: Sequence[float],
+                   reps: int, stream: RngStream,
+                   rep_offset: int = 0) -> Tuple[PassageSamples, ...]:
+    """Stopped samples of replications rep_offset..rep_offset+reps-1 at
+    each level of the grid.  One path per replication, drawn with the top
+    level's block length up to the largest horizon, serves every level,
+    and each level's samples equal those of the one-level grid
+    [a_grid[i]].
 
     Replication r always uses the stream (seed, r, stream_id), so the
     result is independent of how the replication range is chunked.
     """
+    levels = [float(a) for a in a_grid]
+    horizons = [model.horizon(a) for a in levels]
     out = forward_kernel(model, stream, reps, rep_offset,
-                         block_length(model, a), model.horizon(a),
-                         partial(_passage_stats, model, a), 5)
-    return PassageSamples(a, out[:, 0].astype(np.int64), out[:, 1],
-                          out[:, 2], out[:, 3], out[:, 4].astype(bool))
+                         block_length(model, max(levels)), max(horizons),
+                         partial(_passage_stats, model, levels, horizons),
+                         4 * len(levels))
+    return tuple(PassageSamples(a, out[:, 4 * i].astype(np.int64),
+                                *out[:, 4 * i + 1:4 * i + 4].T)
+                 for i, a in enumerate(levels))
+
+
+def collect_passage(model: PerturbedWalkModel, a: float, reps: int,
+                    stream: RngStream, rep_offset: int = 0) -> PassageSamples:
+    """Stopped samples at level ``a`` for replications
+    rep_offset..rep_offset+reps-1 (``collect_levels`` of the grid [a])."""
+    return collect_levels(model, [a], reps, stream, rep_offset)[0]
 
 
 @dataclass(frozen=True)
@@ -385,24 +420,27 @@ def summarize_passage(samples: PassageSamples) -> PassageSummary:
         non_crossing_fraction=ncf)
 
 
-def map_levels(collect: Callable, a_grid: Sequence[float], reps: int,
-               stream: RngStream) -> list:
-    """``map_replications`` over ``collect(a, stream=...)`` at each level a
-    of the grid; level i draws on sub-stream stream_id + 10 + i, so the
-    levels are independent."""
-    return [map_replications(
-        partial(collect, float(a),
-                stream=stream.with_stream(stream.stream_id + 10 + i)), reps)
-        for i, a in enumerate(a_grid)]
+def levels_stream(stream: RngStream) -> RngStream:
+    """The sub-stream (stream_id + 10) an experiment seeded by ``stream``
+    draws the paths of its level grid on."""
+    return stream.with_stream(stream.stream_id + 10)
+
+
+def passage_levels(model: PerturbedWalkModel, a_grid: Sequence[float],
+                   reps: int, stream: RngStream
+                   ) -> Tuple[PassageSamples, ...]:
+    """Stopped samples at every level of the grid, from one path per
+    replication on ``levels_stream(stream)`` (``collect_levels``)."""
+    return map_replications(partial(collect_levels, model, a_grid,
+                                    stream=levels_stream(stream)), reps)
 
 
 def summarize_levels(model: PerturbedWalkModel, a_grid: Sequence[float],
                      reps: int, stream: RngStream
                      ) -> Tuple[PassageSummary, ...]:
-    """One passage summary per level of the grid (levels as in
-    ``map_levels``)."""
-    return tuple(map(summarize_passage, map_levels(
-        partial(collect_passage, model), a_grid, reps, stream)))
+    """One passage summary per level of the grid (``passage_levels``)."""
+    return tuple(map(summarize_passage,
+                     passage_levels(model, a_grid, reps, stream)))
 
 
 # -- backward functional ------------------------------------------------
@@ -506,7 +544,9 @@ def backward_kernel(draw: Callable[[Iterable[np.random.Generator],
         n = len(idx)
         rows = draw(map(keys.generator, rep_offset + idx),
                     ws.take("W", (n, I + D) + pair))
-        xi = spec.xi_backward(rows)
+        # the lag products go through Z's buffer, written only after xi
+        xi = spec.xi_backward(rows, ws.take("xi", (n, I + 1)),
+                              ws.take("Z", (n, I + 1)))
         # X_0 + ... + X_{-(i-1)}, then Z*_{-i} - xi_0 and its running minimum
         c = np.cumsum(x_of(rows)[:, :I], axis=1, out=ws.take("S", (n, I)))
         vals = np.subtract(c, xi[:, 1:I + 1], out=ws.take("Z", (n, I)))

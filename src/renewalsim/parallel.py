@@ -17,7 +17,8 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from contextlib import contextmanager
-from typing import Callable, Iterator, List
+from functools import partial
+from typing import Callable, Iterable, Iterator, List
 
 import numpy as np
 
@@ -38,17 +39,46 @@ def raise_again(caught: List[warnings.WarningMessage]) -> None:
                                registry=registry)
 
 
-def join_chunks(parts: List):
-    """The rows of consecutive chunks as one result: arrays joined along
-    their first axis, or one dataclass whose array fields hold all the
-    rows and whose other fields are the first part's."""
-    first = parts[0]
+def _arrays(part) -> dict:
+    """A chunk's arrays by key: None for a bare array, the field name for
+    a dataclass's array fields, (i, key) for the i-th part of a tuple."""
+    if isinstance(part, np.ndarray):
+        return {None: part}
+    if isinstance(part, tuple):
+        return {(i, key): a for i, p in enumerate(part)
+                for key, a in _arrays(p).items()}
+    return {f.name: getattr(part, f.name) for f in dataclasses.fields(part)
+            if isinstance(getattr(part, f.name), np.ndarray)}
+
+
+def _filled(first, tables: dict):
+    """``first`` with the arrays ``_arrays`` finds replaced by ``tables``."""
     if isinstance(first, np.ndarray):
-        return np.concatenate(parts)
-    return dataclasses.replace(first, **{
-        f.name: np.concatenate([getattr(p, f.name) for p in parts])
-        for f in dataclasses.fields(first)
-        if isinstance(getattr(first, f.name), np.ndarray)})
+        return tables[None]
+    if isinstance(first, tuple):
+        return tuple(_filled(p, {key[1]: a for key, a in tables.items()
+                                 if key[0] == i})
+                     for i, p in enumerate(first))
+    return dataclasses.replace(first, **tables)
+
+
+def join_chunks(parts: Iterable, reps: int):
+    """The rows of consecutive chunks, ``reps`` in all, as one result: an
+    array joined along the first axis, a dataclass whose array fields hold
+    all the rows and whose other fields are the first part's, or a tuple
+    of these.  Each part is copied into tables made at the first one as it
+    comes, so the parts are never held all at once."""
+    first, tables, lo = None, {}, 0
+    for part in parts:
+        arrays = _arrays(part)
+        if first is None:
+            first = part
+            tables = {key: np.empty((reps,) + a.shape[1:], a.dtype)
+                      for key, a in arrays.items()}
+        for key, a in arrays.items():
+            tables[key][lo:lo + len(a)] = a
+        lo += len(a)
+    return _filled(first, tables)
 
 
 def _run_chunk(fn: Callable, count: int, offset: int):
@@ -81,7 +111,7 @@ def shared_pool(workers: int) -> Iterator[None]:
 def map_replications(fn: Callable, reps: int):
     """Call ``fn(reps=count, rep_offset=offset)`` on consecutive chunks of
     CHUNK_REPS replications and return their rows joined in offset order
-    (``join_chunks``).
+    (``join_chunks``, each chunk as soon as it is back).
 
     Inside a ``shared_pool`` block of more than one worker, a map of more
     than one chunk runs them in the block's pool, so ``fn`` and its bound
@@ -95,12 +125,19 @@ def map_replications(fn: Callable, reps: int):
     offsets = range(0, reps, CHUNK_REPS)
     counts = [min(CHUNK_REPS, reps - off) for off in offsets]
     if _workers <= 1 or len(counts) <= 1:
-        done = [_run_chunk(fn, c, o) for c, o in zip(counts, offsets)]
+        done = map(partial(_run_chunk, fn), counts, offsets)
     else:
         if _pool is None:
             from concurrent.futures import ProcessPoolExecutor
             _pool = ProcessPoolExecutor(max_workers=_workers)
-        done = list(_pool.map(_run_chunk, [fn] * len(counts), counts,
-                              offsets))
-    raise_again([w for _, caught in done for w in caught])
-    return join_chunks([part for part, _ in done])
+        done = _pool.map(_run_chunk, [fn] * len(counts), counts, offsets)
+    caught: List[warnings.WarningMessage] = []
+
+    def parts():
+        for part, chunk_caught in done:
+            caught.extend(chunk_caught)
+            yield part
+
+    joined = join_chunks(parts(), reps)
+    raise_again(caught)
+    return joined

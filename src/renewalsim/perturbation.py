@@ -152,7 +152,8 @@ class StationarySpec:
 
     # -- evaluation ------------------------------------------------------
 
-    def xi(self, w: np.ndarray) -> np.ndarray:
+    def xi(self, w: np.ndarray, out: Optional[np.ndarray] = None,
+           work: Optional[np.ndarray] = None) -> np.ndarray:
         """xi at every full window of the driving values ``w``.
 
         ``w`` runs oldest first along its step axis (the last axis; the
@@ -160,7 +161,9 @@ class StationarySpec:
         interarrival)); leading axes are independent paths.  Entry i is
         xi at the window ending at step i + depth - 1, so N steps give
         N - depth + 1 values, and a row of exactly depth steps gives xi
-        of that one window.
+        of that one window.  The values are written into ``out`` when it
+        is given, and the geometric sum takes each lag's product in
+        ``work``; both have the shape of the result.
         """
         w = np.asarray(w)
         D = self.depth
@@ -169,45 +172,59 @@ class StationarySpec:
         if m < 1:
             raise ContractViolationError(
                 f"need at least depth = {D} driving values")
+        shape = (w.shape[:-2] if stag else w.shape[:-1]) + (m,)
+        if out is None:
+            out = np.empty(shape)
         lags = [slice(D - 1 - k, D - 1 - k + m) for k in range(D)]  # W_{n-k}
         if self.kind == "zero":
-            return np.zeros(w.shape[:-1] + (m,))
+            out.fill(0.0)
+            return out
         if self.kind == "instantaneous":
-            return _resolve_map(self.h)(w) - self.centering
+            return np.subtract(_resolve_map(self.h)(w), self.centering,
+                               out=out)
         if self.kind == "geometric_ma":
             hw = _resolve_map(self.h)(w)
-            xi = np.zeros(hw.shape[:-1] + (m,))
+            if work is None:
+                work = np.empty(shape)
+            out.fill(0.0)
             for k, lag in enumerate(lags):
-                xi += self.beta ** k * hw[..., lag]
-            xi -= self.centering
-            return xi
+                out += np.multiply(hw[..., lag], self.beta ** k, out=work)
+            out -= self.centering
+            return out
         # lag k is the patient who arrived k rows back and has waited the
         # interarrival gaps of rows n-k..n
         life, inter = w[..., 0], w[..., 1]
-        waited, left, alive, residual = np.zeros((4,) + life.shape[:-1] + (m,))
+        waited, left, alive, residual = np.zeros((4,) + shape)
         for lag in lags:
             waited += inter[..., lag]
             np.maximum(np.subtract(life[..., lag], waited, out=left), 0.0,
                        out=left)
             alive += left > 0.0
             residual += left
-        return -(self.g10 * alive + self.g01 * residual) - self.centering
+        return np.subtract(-(self.g10 * alive + self.g01 * residual),
+                           self.centering, out=out)
 
-    def xi_path(self, w_ext: np.ndarray, n: int) -> np.ndarray:
+    def xi_path(self, w_ext: np.ndarray, n: int,
+                out: Optional[np.ndarray] = None,
+                work: Optional[np.ndarray] = None) -> np.ndarray:
         """xi_1..xi_n from extended history w_ext = (W_{1-D}, ..., W_n),
         n + depth driving values; the first depth are burn-in, so xi_1 is
-        already stationary."""
-        xi = self.xi(w_ext)
+        already stationary.  ``out`` and ``work`` are as in ``xi``, of
+        n + 1 values a path."""
+        xi = self.xi(w_ext, out, work)
         if xi.shape[-1] != n + 1:
             raise ContractViolationError(
                 f"need a history of n + depth = {n + self.depth} values")
         return xi[..., 1:]
 
-    def xi_backward(self, w_back: np.ndarray) -> np.ndarray:
+    def xi_backward(self, w_back: np.ndarray,
+                    out: Optional[np.ndarray] = None,
+                    work: Optional[np.ndarray] = None) -> np.ndarray:
         """xi_0, xi_{-1}, ... from backward-ordered rows W_0, W_{-1}, ...:
-        ``xi`` of the history turned oldest first, turned back."""
+        ``xi`` of the history turned oldest first, turned back (``out``
+        and ``work`` as in ``xi``)."""
         axis = -2 if self.kind == "staggered_residual" else -1
-        return np.flip(self.xi(np.flip(w_back, axis)), -1)
+        return np.flip(self.xi(np.flip(w_back, axis), out, work), -1)
 
     def xi_sd_analytic(self, law: IncrementLaw) -> Optional[float]:
         """Stationary sd of xi_n when available in closed form."""
@@ -260,13 +277,14 @@ class QuadraticSpec:
         return self.Q.shape[0]
 
 
-def zeta_quadratic_path(vector_sums: np.ndarray,
-                        spec: QuadraticSpec) -> np.ndarray:
-    """Vectorized zeta'_n for n = 1..N from (..., N, d) partial sums."""
+def zeta_quadratic_path(vector_sums: np.ndarray, spec: QuadraticSpec,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Vectorized zeta'_n for n = 1..N from (..., N, d) partial sums,
+    written into ``out`` when it is given."""
     T = np.atleast_2d(np.asarray(vector_sums, dtype=float))
     if T.shape[-1] != spec.d:
         raise ConfigurationError("vector dimension mismatch", "zeta.path")
-    quad = np.einsum("...i,ij,...j->...", T, spec.Q, T)
+    quad = np.einsum("...i,ij,...j->...", T, spec.Q, T, out=out)
     quad /= np.arange(1, T.shape[-2] + 1, dtype=float)
     return quad
 

@@ -19,11 +19,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, ContractViolationError
-from .first_passage import (PathBlock, PerturbedWalkModel, RenewalConstants,
-                            block_length, collect_passage, estimate_rho_nu,
-                            excess_cdf_from_backward, experiment_backward,
-                            forward_kernel, map_levels, mean_se,
-                            summarize_levels)
+from .first_passage import (PassageSamples, PathBlock, PerturbedWalkModel,
+                            RenewalConstants, block_length, collect_passage,
+                            estimate_rho_nu, excess_cdf_from_backward,
+                            experiment_backward, forward_kernel,
+                            levels_stream, mean_se, passage_levels,
+                            summarize_passage)
 from .mixture import mixture_cdf
 from .parallel import map_replications
 from .perturbation import zeta_window_path
@@ -118,13 +119,13 @@ class TheoremReport:
 
 
 def trend_reports(label: str, a_grid: Sequence[float],
-                  values: Sequence[float], ses: Sequence[float],
+                  values: Sequence[float], step_ses: Sequence[float],
                   n_reps: int) -> Tuple[TheoremReport, ...]:
-    """One one-sided report per grid step: the value at the next level
-    against the value at this level, with SE hypot(se_i, se_{i+1})."""
+    """One one-sided report per grid step i: the value at level i + 1
+    against the value at level i, with the step's SE step_ses[i]."""
     return tuple(TheoremReport(
         f"{label} a={a_grid[i]:g}->{a_grid[i + 1]:g}", values[i + 1],
-        values[i], math.hypot(ses[i], ses[i + 1]), n_reps, True)
+        values[i], step_ses[i], n_reps, True)
         for i in range(len(values) - 1))
 
 
@@ -372,17 +373,29 @@ class Theorem4Result:
             self.constants.consistent
 
 
+def _paired_step_se(lo: PassageSamples, hi: PassageSamples) -> float:
+    """SE of the mean of t at ``hi`` minus t at ``lo``, replication by
+    replication, over the rows that crossed both levels."""
+    both = lo.crossed & hi.crossed
+    return mean_se((hi.t[both] - lo.t[both]).astype(float))[1]
+
+
 def theorem4_experiment(model: PerturbedWalkModel, a_grid: Sequence[float],
                         reps: int, stream: RngStream,
                         depth: Optional[int] = None,
                         backward_reps: Optional[int] = None
                         ) -> Theorem4Result:
     """Tabulate E(t_a) against the first-order expansion over a grid
-    (constants from estimate_rho_nu, levels from summarize_levels)."""
+    (constants from estimate_rho_nu, levels from passage_levels).
+
+    The levels share their paths, so a |diff| trend step takes its SE from
+    the per-replication differences of t_a between the two levels, plus
+    the constants' SE once for each of the two diffs."""
     if len(a_grid) == 0:
         raise ConfigurationError("a_grid must be non-empty", "theorem4.a_grid")
     constants = estimate_rho_nu(model, depth, backward_reps or reps, stream)
-    summaries = summarize_levels(model, a_grid, reps, stream)
+    samples = passage_levels(model, a_grid, reps, stream)
+    summaries = [summarize_passage(s) for s in samples]
     mu = constants.mu
     corr = constants.rho - constants.nu - constants.lam
     se_corr = math.hypot(constants.se_rho, constants.se_nu)
@@ -393,9 +406,11 @@ def theorem4_experiment(model: PerturbedWalkModel, a_grid: Sequence[float],
             a=float(a), mean_t=summ.mean_t, se_t=summ.se_t, theory=theory,
             diff=summ.mean_t - theory,
             combined_se=math.hypot(summ.se_t, se_corr / mu), reps=reps))
+    steps = [math.sqrt(_paired_step_se(lo, hi) ** 2
+                       + 2.0 * (se_corr / mu) ** 2)
+             for lo, hi in zip(samples, samples[1:])]
     reports = (rows[-1].report,) + trend_reports(
-        "|diff|", a_grid, [abs(r.diff) for r in rows],
-        [r.combined_se for r in rows], reps)
+        "|diff|", a_grid, [abs(r.diff) for r in rows], steps, reps)
     return Theorem4Result(tuple(rows), reports, constants,
                           max(s.non_crossing_fraction for s in summaries))
 
@@ -413,39 +428,59 @@ class Lemma1Row:
     se_tail: float
 
 
-def _lemma1_stats(model: PerturbedWalkModel, wb: WindowBounds, b: float,
-                  horizon: int, offset: Optional[float], block: PathBlock,
-                  final: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """(early count, late count, stopping tail) per row; a row is done
-    once its envelope passes a+b, after which every index has Z > a+b (the
-    block then covers n <= m, since it is longer than (a+b)/mu)."""
-    a, n, Z = wb.a, block.n, block.Z
-    past = np.zeros(len(Z), dtype=bool) if offset is None else \
-        block.S[:, -1] + offset > a + b
-    early = np.count_nonzero((n <= wb.m) & (Z > a), axis=1)
-    late = np.count_nonzero((n > wb.M) & (Z <= a + b), axis=1)
-    hits = (Z > a) & (n >= model.n0)
-    crossed = hits.any(axis=1)
-    # past the envelope without a crossing, only n0 > L was in the way
-    t = np.where(crossed, hits.argmax(axis=1) + 1,
-                 np.where(past, model.n0, horizon))
-    return past | final, np.column_stack(
-        [early, late, np.maximum(0, t - wb.M)]).astype(float)
+def _late_width(wb: WindowBounds) -> float:
+    """The width b = a^(1-q)/2 of the late-lag band (a, a + b]."""
+    return 0.5 * wb.a ** (1.0 - wb.q)
 
 
-def lemma1_collect(model: PerturbedWalkModel, q: float, a: float, reps: int,
-                   stream: RngStream, rep_offset: int = 0) -> np.ndarray:
-    """Per-path (early count, late count, stopping tail) at one level,
-    shape (reps, 3); replication r uses index rep_offset + r."""
-    a = float(a)
-    wb = WindowBounds.for_level(q, a, model.mu)
-    b = 0.5 * a ** (1.0 - q)
-    horizon = max(model.horizon(a), wb.M + 1)
+def _lemma1_stats(model: PerturbedWalkModel, windows: Sequence[WindowBounds],
+                  horizons: Sequence[int], offset: Optional[float],
+                  block: PathBlock, final: bool
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """(early count, late count, stopping tail) per row at each level,
+    over the indices up to the level's horizon.  A level is done at its
+    horizon, or once the envelope passes its a+b, after which every index
+    has Z > a+b (the block then covers n <= m, since it is longer than
+    (a+b)/mu); a row is done once every level is."""
+    L = block.S.shape[1]
+    done = np.ones(len(block.S), dtype=bool)
+    cols = []
+    for wb, horizon in zip(windows, horizons):
+        a, b, end = wb.a, _late_width(wb), min(L, horizon)
+        Z = block.Z[:, :end]
+        past = np.zeros(len(Z), dtype=bool) if offset is None else \
+            block.S[:, end - 1] + offset > a + b
+        hits = Z > a
+        early = np.count_nonzero(hits[:, :wb.m], axis=1)
+        late = np.count_nonzero(Z[:, wb.M:] <= a + b, axis=1)
+        hits[:, :model.n0 - 1] = False
+        crossed = hits.any(axis=1)
+        # past the envelope without a crossing, only n0 > end was in the way
+        t = np.where(crossed, hits.argmax(axis=1) + 1,
+                     np.where(past, model.n0, horizon))
+        done &= past | (L >= horizon)
+        cols += [early, late, np.maximum(0, t - wb.M)]
+    return done, np.column_stack(cols).astype(float)
+
+
+def lemma1_collect(model: PerturbedWalkModel, q: float,
+                   a_grid: Sequence[float], reps: int, stream: RngStream,
+                   rep_offset: int = 0) -> np.ndarray:
+    """Per-path (early count, late count, stopping tail) at every level of
+    the grid, shape (reps, 3 * levels), columns 3i..3i+2 for a_grid[i];
+    replication r uses index rep_offset + r.  One path per replication,
+    drawn until the envelope passes the top level's a + b (or to the
+    largest horizon), serves every level, and each level's columns equal
+    those of the one-level grid [a_grid[i]]."""
+    windows = [WindowBounds.for_level(q, float(a), model.mu) for a in a_grid]
+    horizons = [max(model.horizon(wb.a), wb.M + 1) for wb in windows]
     offset = _envelope_offset(model)
-    length = horizon if offset is None else block_length(model, a + b)
+    length = max(horizons) if offset is None else \
+        block_length(model, max(wb.a + _late_width(wb) for wb in windows))
     return forward_kernel(
-        model, stream, reps, rep_offset, length, horizon,
-        partial(_lemma1_stats, model, wb, b, horizon, offset), 3)
+        model, stream, reps, rep_offset, length, max(horizons),
+        partial(_lemma1_stats, model, windows, horizons, offset),
+        3 * len(windows))
 
 
 def lemma1_diagnostic(model: PerturbedWalkModel, q: float,
@@ -456,18 +491,17 @@ def lemma1_diagnostic(model: PerturbedWalkModel, q: float,
     E(t_a - M)_+ on a grid of levels.
 
     Each is an expected count of path indices; all three vanish as a
-    grows, which is what the acceptance trend checks assert.  Levels are
-    independent, as in ``map_levels``.
+    grows, which is what the acceptance trend checks assert.  Every level
+    reads the same paths, drawn on ``levels_stream(stream)``.
     """
+    vals = map_replications(partial(lemma1_collect, model, q, a_grid,
+                                    stream=levels_stream(stream)), reps)
     rows = []
-    for a, vals in zip(a_grid, map_levels(partial(lemma1_collect, model, q),
-                                          a_grid, reps, stream)):
-        a = float(a)
-        wb = WindowBounds.for_level(q, a, model.mu)
-        d0, s0 = mean_se(vals[:, 0])
-        d1, s1 = mean_se(vals[:, 1])
-        tl, stl = mean_se(vals[:, 2])
-        rows.append(Lemma1Row(a, wb.m, wb.M, d0, s0, d1, s1, tl, stl))
+    for i, a in enumerate(a_grid):
+        wb = WindowBounds.for_level(q, float(a), model.mu)
+        stats = [mean_se(vals[:, 3 * i + k]) for k in range(3)]
+        rows.append(Lemma1Row(wb.a, wb.m, wb.M, *stats[0], *stats[1],
+                              *stats[2]))
     return tuple(rows)
 
 
@@ -480,41 +514,45 @@ class Lemma3Row:
     se: float
 
 
-def _coupling_count(model: PerturbedWalkModel, wb: WindowBounds, eps: float,
+def _coupling_count(model: PerturbedWalkModel,
+                    windows: Sequence[WindowBounds], eps: float,
                     block: PathBlock, final: bool
                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row count of n in (m, M] with |zeta_n - zeta~_{m,n}| >= eps."""
-    coupled = zeta_window_path(block.T, wb.m, wb.m + 1, wb.M,
-                               model.quadratic)
-    diff = np.abs(block.zeta[:, wb.m:wb.M] - coupled)
-    return True, np.count_nonzero(diff >= eps, axis=1)[:, None]
+    """Per-row count of n in (m, M] with |zeta_n - zeta~_{m,n}| >= eps, at
+    each level's window."""
+    return True, np.column_stack([np.count_nonzero(np.abs(
+        block.zeta[:, wb.m:wb.M] - zeta_window_path(
+            block.T, wb.m, wb.m + 1, wb.M, model.quadratic)) >= eps, axis=1)
+        for wb in windows])
 
 
-def lemma3_collect(model: PerturbedWalkModel, q: float, eps: float, a: float,
-                   reps: int, stream: RngStream,
+def lemma3_collect(model: PerturbedWalkModel, q: float, eps: float,
+                   a_grid: Sequence[float], reps: int, stream: RngStream,
                    rep_offset: int = 0) -> np.ndarray:
-    """Per-path coupling-failure counts at one level; replication r uses
-    index rep_offset + r."""
-    wb = WindowBounds.for_level(q, float(a), model.mu)
-    return forward_kernel(model, stream, reps, rep_offset, wb.M, wb.M,
-                          partial(_coupling_count, model, wb, eps), 1)[:, 0]
+    """Per-path coupling-failure counts at every level of the grid, shape
+    (reps, levels), from one path per replication drawn to the largest
+    window end M; replication r uses index rep_offset + r."""
+    windows = [WindowBounds.for_level(q, float(a), model.mu) for a in a_grid]
+    end = max(wb.M for wb in windows)
+    return forward_kernel(model, stream, reps, rep_offset, end, end,
+                          partial(_coupling_count, model, windows, eps),
+                          len(windows))
 
 
 def lemma3_diagnostic(model: PerturbedWalkModel, q: float, eps: float,
                       a_grid: Sequence[float], reps: int,
                       stream: RngStream) -> Tuple[Lemma3Row, ...]:
     """Expected count of indices n in (m, M] where the slowly-changing
-    term and its windowed coupling differ by at least eps; levels are
-    independent, as in ``map_levels``."""
+    term and its windowed coupling differ by at least eps; every level
+    reads the same paths, drawn on ``levels_stream(stream)``."""
     if eps <= 0:
         raise ConfigurationError("eps must be > 0", "lemma3.eps")
     if model.quadratic is None:
         return tuple(Lemma3Row(float(a), 0, 0, 0.0, 0.0) for a in a_grid)
+    counts = map_replications(partial(lemma3_collect, model, q, eps, a_grid,
+                                      stream=levels_stream(stream)), reps)
     rows = []
-    for a, counts in zip(a_grid, map_levels(
-            partial(lemma3_collect, model, q, eps), a_grid, reps, stream)):
-        a = float(a)
-        wb = WindowBounds.for_level(q, a, model.mu)
-        c, s = mean_se(counts)
-        rows.append(Lemma3Row(a, wb.m, wb.M, c, s))
+    for i, a in enumerate(a_grid):
+        wb = WindowBounds.for_level(q, float(a), model.mu)
+        rows.append(Lemma3Row(wb.a, wb.m, wb.M, *mean_se(counts[:, i])))
     return tuple(rows)

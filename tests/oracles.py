@@ -271,9 +271,14 @@ class PathEngine:
         self.n_done = 0
 
     def extend(self, count: int = _CHUNK) -> dict:
-        """Simulate the next ``count`` indices; returns the chunk arrays."""
+        """Simulate the next ``count`` indices; returns the chunk arrays.
+
+        A whole chunk of driving values is drawn, then its vector
+        increments, and the first ``count`` of each are kept, so a path's
+        values do not depend on where it ends."""
         m = self.model
-        w = m.increment_law.sample(self.gen, count)
+        whole = m.increment_law.sample(self.gen, _CHUNK)
+        w = whole[:count]
         s = self.s_last + np.cumsum(w)
         self.s_last = float(s[-1])
         xi = m.stationary.xi_path(np.concatenate([self.w_tail, w]), count)
@@ -284,7 +289,7 @@ class PathEngine:
         zeta = np.zeros(count)
         t_rows = None
         if m.vector_law is not None:
-            y = m.vector_law.materialize(w, self.gen)
+            y = m.vector_law.materialize(whole, self.gen)[:count]
             t_rows = self.t_last + np.cumsum(y, axis=0)
             self.t_last = t_rows[-1].copy()
             if m.quadratic is not None:

@@ -45,9 +45,11 @@ def _line(name, ok, detail):
 
 
 def _trend_ok(rows, vals, ses, reps):
-    """No rise of more than 3 SE from one level of ``rows`` to the next."""
+    """No rise of more than 3 SE from one level of ``rows`` to the next,
+    a step's SE being hypot(se_i, se_{i+1})."""
+    steps = [math.hypot(lo, hi) for lo, hi in zip(ses, ses[1:])]
     return all(rep.passed for rep in trend_reports(
-        "trend", [r.a for r in rows], vals, ses, reps))
+        "trend", [r.a for r in rows], vals, steps, reps))
 
 
 def test_classical_passage_oracle(plain_exp_model):
@@ -234,10 +236,23 @@ _INVARIANCE_DOCS = {
 }
 
 
-def test_worker_count_invariance(tmp_path):
-    t0 = time.monotonic()
+# the kinds whose levels share one path per replication, on grids of
+# three unsorted levels
+_GRID_INVARIANCE_DOCS = {
+    "simulate": {"seed": 41, "reps": 2500, "a_grid": [30.0, 15.0, 45.0],
+                 "model": _TM1},
+    "diag-lemma1": {"seed": 42, "reps": 1500, "a_grid": [60.0, 30.0, 90.0],
+                    "model": _TM1},
+    "diag-lemma3": {"seed": 43, "reps": 1500, "a_grid": [60.0, 30.0, 90.0],
+                    "model": _TM1},
+}
+
+
+def _invariance_failures(tmp_path, docs):
+    """The kinds of ``docs`` whose CSV bytes or exit codes differ between 1
+    and 2 workers, or whose exit code is not 0."""
     wrong = []
-    for kind, doc in _INVARIANCE_DOCS.items():
+    for kind, doc in docs.items():
         runs = []
         for w in (1, 2):
             out = tmp_path / f"{kind}-{w}"
@@ -247,9 +262,26 @@ def test_worker_count_invariance(tmp_path):
             runs.append((code, (out / f"{kind}.csv").read_bytes()))
         if runs[0] != runs[1] or runs[0][0] != 0:
             wrong.append(f"{kind} (exit {runs[0][0]}/{runs[1][0]})")
+    return wrong
+
+
+def test_worker_count_invariance(tmp_path):
+    t0 = time.monotonic()
+    wrong = _invariance_failures(tmp_path, _INVARIANCE_DOCS)
     ok = not wrong
     _line("worker-count invariance", ok,
           f"{len(_INVARIANCE_DOCS)} kinds, 1 vs 2 workers, nonzero exit "
           f"or unequal CSV bytes for {wrong or 'none'}, "
+          f"{time.monotonic() - t0:.0f}s")
+    assert ok
+
+
+def test_worker_count_invariance_on_level_grids(tmp_path):
+    t0 = time.monotonic()
+    wrong = _invariance_failures(tmp_path, _GRID_INVARIANCE_DOCS)
+    ok = not wrong
+    _line("worker-count invariance on level grids", ok,
+          f"{len(_GRID_INVARIANCE_DOCS)} kinds, 3 levels, 1 vs 2 workers, "
+          f"nonzero exit or unequal CSV bytes for {wrong or 'none'}, "
           f"{time.monotonic() - t0:.0f}s")
     assert ok

@@ -90,7 +90,7 @@ def test_collect_passage_chunk_equivalence(tm1_model):
     parts = join_chunks([
         collect_passage(tm1_model, 12.0, 10, RngStream(5)),
         collect_passage(tm1_model, 12.0, 20, RngStream(5), rep_offset=10),
-    ])
+    ], 30)
     assert np.array_equal(whole.t, parts.t)
     assert np.array_equal(whole.R, parts.R, equal_nan=True)
     assert np.array_equal(whole.xi, parts.xi)
@@ -193,7 +193,7 @@ def test_backward_chunk_equivalence(tm1_model):
         backward_min_functional(tm1_model, None, 10, RngStream(15)),
         backward_min_functional(tm1_model, None, 15, RngStream(15),
                                 rep_offset=10),
-    ])
+    ], 25)
     assert np.array_equal(whole.inf_value, parts.inf_value)
     assert np.array_equal(whole.xi0, parts.xi0)
     assert np.array_equal(whole.attained_index, parts.attained_index)

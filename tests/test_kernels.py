@@ -10,7 +10,7 @@ import oracles
 from renewalsim import (EventPredicate, IncrementLaw, PassageSamples,
                         PerturbedWalkModel, QuadraticSpec, RngStream,
                         StationarySpec, VectorLaw, backward_min_functional,
-                        collect_passage)
+                        collect_levels, collect_passage, passage_levels)
 from renewalsim import first_passage
 from renewalsim.first_passage import (_passage_stats, block_length,
                                       forward_kernel)
@@ -70,6 +70,54 @@ def test_passage_matches_reference(models):
                                                  STREAM).crossed) < 60
 
 
+def _level_columns(samples):
+    return [samples.t, samples.R, samples.xi, samples.zeta, samples.crossed]
+
+
+def test_levels_match_one_level_runs(models):
+    # one path per replication serves every level of a grid, unsorted
+    # here: each level's stopped values equal the one-level run's, bit for
+    # bit and NaNs included.  In the last grid a lower level's horizon
+    # leaves rows uncrossed that cross the top level by its own horizon.
+    spiky = PerturbedWalkModel(IncrementLaw.gamma(0.05, 0.05),
+                               horizon_factor=0.5)
+    cases = [(name, model, (a, 0.5 * a, 2.0 * a))
+             for name, model, a in models]
+    cases += [("n0-above-levels", PerturbedWalkModel(EXP1, n0=30),
+               (5.0, 20.0, 40.0)),
+              ("spiky-horizons", spiky, (50.0, 20.0, 80.0))]
+    for name, model, grid in cases:
+        levels = collect_levels(model, grid, 300, STREAM, 7)
+        for a, samples in zip(grid, levels):
+            one = collect_passage(model, a, 300, STREAM, 7)
+            assert samples.a == one.a, name
+            for new, ref in zip(_level_columns(samples), _level_columns(one)):
+                assert np.array_equal(new, ref, equal_nan=True), (name, a)
+    low, top = levels[0].crossed, levels[2].crossed
+    assert np.count_nonzero(~low & top) > 0
+    # an experiment's grid draws on sub-stream stream_id + 10
+    for samples, a in zip(passage_levels(spiky, grid, 300, STREAM), grid):
+        one = collect_passage(spiky, a, 300, first_passage.levels_stream(
+            STREAM))
+        for new, ref in zip(_level_columns(samples), _level_columns(one)):
+            assert np.array_equal(new, ref, equal_nan=True)
+
+
+def test_lemma_levels_match_one_level_runs(models):
+    for name, model, a in models[:-1]:
+        grid = (2.0 * max(a, 20.0), max(a, 20.0), 3.0 * max(a, 20.0))
+        lem1 = lemma1_collect(model, 0.4, grid, 120, STREAM, 5)
+        for i, level in enumerate(grid):
+            assert np.array_equal(
+                lem1[:, 3 * i:3 * i + 3],
+                lemma1_collect(model, 0.4, [level], 120, STREAM, 5)), name
+        if model.quadratic is not None:
+            lem3 = lemma3_collect(model, 0.4, 0.05, grid, 120, STREAM, 5)
+            for i, level in enumerate(grid):
+                assert np.array_equal(lem3[:, i], lemma3_collect(
+                    model, 0.4, 0.05, [level], 120, STREAM, 5)[:, 0]), name
+
+
 def test_counts_match_reference(models):
     B = EventPredicate.xi_leq(0.3)
     for name, model, a in models[:-1]:
@@ -78,12 +126,12 @@ def test_counts_match_reference(models):
         assert np.array_equal(thm1, [oracles.window_count(
             model, B, 0.8, a, 3.0, s) for s in streams]), name
         level = max(a, 20.0)  # the lemma windows need a >= 20 or so
-        lem1 = lemma1_collect(model, 0.4, level, 120, STREAM, 5)
+        lem1 = lemma1_collect(model, 0.4, [level], 120, STREAM, 5)
         assert np.array_equal(lem1, [oracles.lemma1_values(
             model, 0.4, level, s) for s in streams]), name
         if model.quadratic is not None:
-            lem3 = lemma3_collect(model, 0.4, 0.05, level, 120, STREAM, 5)
-            assert np.array_equal(lem3, [oracles.coupling_count(
+            lem3 = lemma3_collect(model, 0.4, 0.05, [level], 120, STREAM, 5)
+            assert np.array_equal(lem3[:, 0], [oracles.coupling_count(
                 model, 0.4, 0.05, level, s) for s in streams]), name
 
 
@@ -112,7 +160,7 @@ def test_lean_paths_equal_general_paths(plain_exp_model):
                 lambda m: collect_passage(m, a, 300, STREAM, 7),
                 lambda m: theorem1_counts(m, B, 0.0, a, 2.0, 300, STREAM, 7),
                 lambda m: theorem1_counts(m, W1, 0.0, a, 2.0, 300, STREAM),
-                lambda m: lemma1_collect(m, 0.4, a, 300, STREAM, 7)):
+                lambda m: lemma1_collect(m, 0.4, [a], 300, STREAM, 7)):
             new, ref = collect(lean), collect(general)
             if isinstance(new, PassageSamples):
                 new, ref = (np.column_stack([
@@ -161,7 +209,7 @@ def test_forward_chunk_equivalence(models, tm1_model):
         whole, parts = _split(
             lambda n, off: collect_passage(model, a, n, STREAM, off),
             reps, cut)
-        joined = join_chunks(list(parts))
+        joined = join_chunks(parts, reps)
         for field in ("t", "R", "xi", "zeta", "crossed"):
             assert np.array_equal(getattr(whole, field),
                                   getattr(joined, field), equal_nan=True)
@@ -169,12 +217,12 @@ def test_forward_chunk_equivalence(models, tm1_model):
     for collect, reps in (
             (lambda n, off: theorem1_counts(tm1_model, B, 0.5, 25.0, 1.0,
                                             n, STREAM, off), 700),
-            (lambda n, off: lemma1_collect(lagging, 0.4, 50.0, n, STREAM,
+            (lambda n, off: lemma1_collect(lagging, 0.4, [50.0], n, STREAM,
                                            off), 700),
-            (lambda n, off: lemma3_collect(tm1_model, 0.4, 0.05, 200.0, n,
+            (lambda n, off: lemma3_collect(tm1_model, 0.4, 0.05, [200.0], n,
                                            STREAM, off), 400)):
         whole, parts = _split(collect, reps, 237)
-        assert np.array_equal(whole, join_chunks(list(parts)))
+        assert np.array_equal(whole, join_chunks(parts, reps))
 
 
 def test_backward_chunk_equivalence_across_sub_batches(tm1_model, fwci_model):
@@ -184,7 +232,7 @@ def test_backward_chunk_equivalence_across_sub_batches(tm1_model, fwci_model):
             (lambda n, off: staggered_backward_batch(fwci_model, n, STREAM,
                                                      rep_offset=off), 150, 37)):
         whole, parts = _split(collect, reps, cut)
-        joined = join_chunks(list(parts))
+        joined = join_chunks(parts, reps)
         for field in ("inf_value", "xi0", "first_value", "attained_index",
                       "truncated"):
             assert np.array_equal(getattr(whole, field),
@@ -205,7 +253,8 @@ def test_results_do_not_depend_on_the_first_block(models, fwci_model,
     for name, model, a in models:
         horizon = model.horizon(a)
         runs = [forward_kernel(model, STREAM, 150, 3, length, horizon,
-                               partial(_passage_stats, model, a), 5)
+                               partial(_passage_stats, model, [a],
+                                       [horizon]), 4)
                 for length in (1, block_length(model, a), horizon)]
         for run in runs[1:]:
             assert np.array_equal(run, runs[0], equal_nan=True), name

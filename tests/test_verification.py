@@ -8,8 +8,8 @@ from scipy import stats
 from oracles import renewal_window_count
 from renewalsim import (
     EventPredicate, IncrementLaw, PerturbedWalkModel, RngStream,
-    TheoremReport, lemma1_diagnostic, lemma3_diagnostic, theorem1_experiment,
-    theorem3_experiment, theorem4_experiment,
+    TheoremReport, lemma1_diagnostic, lemma3_diagnostic, passage_levels,
+    theorem1_experiment, theorem3_experiment, theorem4_experiment,
 )
 from renewalsim.errors import ConfigurationError, ContractViolationError
 from renewalsim.verification import (
@@ -156,39 +156,58 @@ def test_theorem4_rows_and_trend(tm1_model):
 
 
 def test_theorem4_trend_rule():
-    def trend_ok(diffs, ses):
+    def trend_ok(diffs, step_ses):
         return all(r.passed for r in trend_reports(
-            "|diff|", (50.0, 100.0, 150.0), diffs, ses, 100))
+            "|diff|", (50.0, 100.0, 150.0), diffs, step_ses, 100))
 
-    assert trend_ok([0.9, 0.5, 0.2], [0.05, 0.05, 0.05])
+    assert trend_ok([0.9, 0.5, 0.2], [0.05, 0.05])
     # increase within the 3-SE tie band is tolerated
-    assert trend_ok([0.50, 0.55, 0.2], [0.05, 0.05, 0.05])
-    assert not trend_ok([0.2, 0.9, 0.1], [0.05, 0.05, 0.05])
+    assert trend_ok([0.50, 0.55, 0.2], [0.05, 0.05])
+    assert not trend_ok([0.2, 0.9, 0.1], [0.05, 0.05])
+    assert trend_ok([0.50, 0.64, 0.2], [0.05, 0.05])
+    assert not trend_ok([0.50, 0.66, 0.2], [0.05, 0.05])
+    # each step is judged on its own SE
+    assert trend_ok([0.2, 0.9, 0.1], [0.25, 0.05])
+    assert not trend_ok([0.2, 0.9, 0.1], [0.05, 0.25])
+
+
+def test_theorem4_trend_steps_are_paired(tm1_model):
+    # the levels share their paths, so a step's SE is that of the
+    # per-replication difference of t_a, plus the constants' term twice,
+    # and it lies below the hypot of the two levels' SEs
+    stream = RngStream(24)
+    result = theorem4_experiment(tm1_model, [25.0, 50.0, 100.0], reps=1500,
+                                 stream=stream, backward_reps=3000)
+    samples = passage_levels(tm1_model, [25.0, 50.0, 100.0], 1500, stream)
+    c = result.constants
+    const = math.hypot(c.se_rho, c.se_nu) / c.mu
+    for i, report in enumerate(result.reports[1:]):
+        lo, hi = samples[i], samples[i + 1]
+        diffs = (hi.t - lo.t)[lo.crossed & hi.crossed].astype(float)
+        paired = np.std(diffs, ddof=1) / math.sqrt(len(diffs))
+        assert report.std_error == pytest.approx(
+            math.sqrt(paired ** 2 + 2.0 * const ** 2), rel=1e-12)
+        rows = result.rows[i:i + 2]
+        assert report.std_error < math.hypot(rows[0].combined_se,
+                                             rows[1].combined_se)
 
 
 def test_lemma1_rows_and_chunking(tm1_model):
     grid = [30.0, 60.0]
-    collected = [
-        np.concatenate([
-            lemma1_collect(tm1_model, 0.4, a, 40, RngStream(25)),
-            lemma1_collect(tm1_model, 0.4, a, 40, RngStream(25),
-                           rep_offset=40),
-        ])
-        for a in grid
-    ]
-    whole = [lemma1_collect(tm1_model, 0.4, a, 80, RngStream(25))
-             for a in grid]
-    for got, want in zip(collected, whole):
-        assert np.array_equal(got, want)
+    collected = np.concatenate([
+        lemma1_collect(tm1_model, 0.4, grid, 40, RngStream(25)),
+        lemma1_collect(tm1_model, 0.4, grid, 40, RngStream(25),
+                       rep_offset=40),
+    ])
+    whole = lemma1_collect(tm1_model, 0.4, grid, 80, RngStream(25))
+    assert np.array_equal(collected, whole)
     rows = lemma1_diagnostic(tm1_model, 0.4, grid, 80, RngStream(25))
     assert [r.a for r in rows] == grid
-    # level i draws on sub-stream stream_id + 10 + i
-    levels = [lemma1_collect(tm1_model, 0.4, a, 80,
-                             RngStream(25, stream_id=10 + i))
-              for i, a in enumerate(grid)]
-    for r, vals in zip(rows, levels):
+    # every level reads the paths of sub-stream stream_id + 10
+    vals = lemma1_collect(tm1_model, 0.4, grid, 80, RngStream(25, stream_id=10))
+    for i, r in enumerate(rows):
         assert [r.delta0, r.delta1, r.tail] == \
-            [vals[:, k].mean() for k in range(3)]
+            [vals[:, 3 * i + k].mean() for k in range(3)]
         assert r.m < r.M
         assert r.delta0 >= 0 and r.delta1 >= 0 and r.tail >= 0
         assert r.se0 >= 0 and r.se1 >= 0 and r.se_tail >= 0
@@ -198,11 +217,11 @@ def test_lemma1_envelope_matches_full_horizon(plain_exp_model):
     # the early-exit envelope must not change any counted quantity
     fat = PerturbedWalkModel(increment_law=IncrementLaw.normal(1.0, 0.4))
     a = 40.0
-    ref = lemma1_collect(fat, 0.4, a, 60, RngStream(26))
-    fast = lemma1_collect(plain_exp_model, 0.4, a, 60, RngStream(26))
+    ref = lemma1_collect(fat, 0.4, [a], 60, RngStream(26))
+    fast = lemma1_collect(plain_exp_model, 0.4, [a], 60, RngStream(26))
     # same law class sanity: exponential walk envelope run agrees with a
     # re-run of itself (envelope is deterministic given the stream)
-    again = lemma1_collect(plain_exp_model, 0.4, a, 60, RngStream(26))
+    again = lemma1_collect(plain_exp_model, 0.4, [a], 60, RngStream(26))
     assert np.array_equal(fast, again)
     assert ref.shape == fast.shape == (60, 3)
 
@@ -211,18 +230,19 @@ def test_lemma3_rows(tm1_model):
     rows = lemma3_diagnostic(tm1_model, 0.4, 0.5, [30.0, 60.0], 60,
                              RngStream(27))
     assert len(rows) == 2
+    # every level reads the paths of sub-stream stream_id + 10
+    counts = lemma3_collect(tm1_model, 0.4, 0.5, [30.0, 60.0], 60,
+                            RngStream(27, stream_id=10))
     for i, r in enumerate(rows):
         assert r.count >= 0 and r.se >= 0
-        # level i draws on sub-stream stream_id + 10 + i
-        assert r.count == lemma3_collect(
-            tm1_model, 0.4, 0.5, r.a, 60, RngStream(27, stream_id=10 + i)
-        ).mean()
+        assert r.count == counts[:, i].mean()
     parts = np.concatenate([
-        lemma3_collect(tm1_model, 0.4, 0.5, 30.0, 25, RngStream(27)),
-        lemma3_collect(tm1_model, 0.4, 0.5, 30.0, 35, RngStream(27),
+        lemma3_collect(tm1_model, 0.4, 0.5, [30.0, 60.0], 25, RngStream(27)),
+        lemma3_collect(tm1_model, 0.4, 0.5, [30.0, 60.0], 35, RngStream(27),
                        rep_offset=25),
     ])
-    whole = lemma3_collect(tm1_model, 0.4, 0.5, 30.0, 60, RngStream(27))
+    whole = lemma3_collect(tm1_model, 0.4, 0.5, [30.0, 60.0], 60,
+                           RngStream(27))
     assert np.array_equal(parts, whole)
 
 
