@@ -104,7 +104,10 @@ def test_levels_match_one_level_runs(models):
 
 
 def test_lemma_levels_match_one_level_runs(models):
-    for name, model, a in models[:-1]:
+    # each level's columns equal its one-level run; in the "horizon" model
+    # the block outruns a lower level's horizon, so that level's envelope
+    # test must be read at its horizon, not at the block's end
+    for name, model, a in models:
         grid = (2.0 * max(a, 20.0), max(a, 20.0), 3.0 * max(a, 20.0))
         lem1 = lemma1_collect(model, 0.4, grid, 120, STREAM, 5)
         for i, level in enumerate(grid):
