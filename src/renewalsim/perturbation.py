@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -153,7 +153,7 @@ class StationarySpec:
     # -- evaluation ------------------------------------------------------
 
     def xi(self, w: np.ndarray, out: Optional[np.ndarray] = None,
-           work: Optional[np.ndarray] = None) -> np.ndarray:
+           work: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
         """xi at every full window of the driving values ``w``.
 
         ``w`` runs oldest first along its step axis (the last axis; the
@@ -162,8 +162,9 @@ class StationarySpec:
         xi at the window ending at step i + depth - 1, so N steps give
         N - depth + 1 values, and a row of exactly depth steps gives xi
         of that one window.  The values are written into ``out`` when it
-        is given, and the geometric sum takes each lag's product in
-        ``work``; both have the shape of the result.
+        is given.  The geometric kind sums by doubling, in the two scratch
+        arrays ``work`` (made when it is None): each has at least
+        ``w.size`` entries and shares no memory with ``w`` or ``out``.
         """
         w = np.asarray(w)
         D = self.depth
@@ -175,7 +176,6 @@ class StationarySpec:
         shape = (w.shape[:-2] if stag else w.shape[:-1]) + (m,)
         if out is None:
             out = np.empty(shape)
-        lags = [slice(D - 1 - k, D - 1 - k + m) for k in range(D)]  # W_{n-k}
         if self.kind == "zero":
             out.fill(0.0)
             return out
@@ -183,17 +183,37 @@ class StationarySpec:
             return np.subtract(_resolve_map(self.h)(w), self.centering,
                                out=out)
         if self.kind == "geometric_ma":
-            hw = _resolve_map(self.h)(w)
-            if work is None:
-                work = np.empty(shape)
-            out.fill(0.0)
-            for k, lag in enumerate(lags):
-                out += np.multiply(hw[..., lag], self.beta ** k, out=work)
+            # P_1 = h(W), P_2v[j] = P_v[j] + beta^v P_v[j - v] sums the v
+            # values up to j on the block read as one flat array: near a
+            # row's start these mix in the row before, which no full
+            # window reads, so each kept value is the same arithmetic at
+            # any row count.  out takes the set bits of D, low bit first
+            hw = np.asarray(_resolve_map(self.h)(w))
+            n, N = hw.size, hw.shape[-1]
+            p, a, v = hw.reshape(-1), 0, 1
+            prod, pv = (np.empty(n) for _ in range(2)) if work is None \
+                else (x.reshape(-1)[:n] for x in work)
+            while True:
+                if D & v:  # out[c] += beta^a P_v[c - a]
+                    lag = p.reshape(hw.shape)[..., D - 1 - a:N - a]
+                    if a == 0:
+                        np.copyto(out, lag)
+                    else:
+                        out += np.multiply(lag, self.beta ** a, out=prod[
+                            :out.size].reshape(out.shape))
+                    a += v
+                    if a == D:
+                        break
+                lo = 2 * v - 1
+                np.multiply(p[v - 1:n - v], self.beta ** v, out=prod[lo:])
+                np.add(p[lo:], prod[lo:], out=pv[lo:])
+                p, v = pv, 2 * v
             out -= self.centering
             return out
         # lag k is the patient who arrived k rows back and has waited the
         # interarrival gaps of rows n-k..n
         life, inter = w[..., 0], w[..., 1]
+        lags = [slice(D - 1 - k, D - 1 - k + m) for k in range(D)]  # W_{n-k}
         waited, left, alive, residual = np.zeros((4,) + shape)
         for lag in lags:
             waited += inter[..., lag]
@@ -206,11 +226,11 @@ class StationarySpec:
 
     def xi_path(self, w_ext: np.ndarray, n: int,
                 out: Optional[np.ndarray] = None,
-                work: Optional[np.ndarray] = None) -> np.ndarray:
+                work: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
         """xi_1..xi_n from extended history w_ext = (W_{1-D}, ..., W_n),
         n + depth driving values; the first depth are burn-in, so xi_1 is
-        already stationary.  ``out`` and ``work`` are as in ``xi``, of
-        n + 1 values a path."""
+        already stationary.  ``out`` (n + 1 values a path) and ``work``
+        are as in ``xi``."""
         xi = self.xi(w_ext, out, work)
         if xi.shape[-1] != n + 1:
             raise ContractViolationError(
@@ -219,12 +239,14 @@ class StationarySpec:
 
     def xi_backward(self, w_back: np.ndarray,
                     out: Optional[np.ndarray] = None,
-                    work: Optional[np.ndarray] = None) -> np.ndarray:
+                    work: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
         """xi_0, xi_{-1}, ... from backward-ordered rows W_0, W_{-1}, ...:
         ``xi`` of the history turned oldest first, turned back (``out``
-        and ``work`` as in ``xi``)."""
-        axis = -2 if self.kind == "staggered_residual" else -1
-        return np.flip(self.xi(np.flip(w_back, axis), out, work), -1)
+        and ``work`` as in ``xi``).  The rows are reversed too, so that a
+        contiguous block stays one flat array."""
+        pair = self.kind == "staggered_residual"
+        steps = tuple(range(np.ndim(w_back) - pair))
+        return np.flip(self.xi(np.flip(w_back, steps), out, work))
 
     def xi_sd_analytic(self, law: IncrementLaw) -> Optional[float]:
         """Stationary sd of xi_n when available in closed form."""

@@ -270,3 +270,26 @@ def test_results_do_not_depend_on_the_first_block(models, fwci_model,
     for collect, ref in zip(collects, default):
         for new, old in zip(_batch_fields(collect()), ref):
             assert np.array_equal(new, old)
+
+
+def test_gaussian_geometric_rows_alone_match(monkeypatch):
+    # the Gaussian vector law draws whole 256-step chunks and xi sums over
+    # all of them; at the horizon of 53 the block is cut inside a chunk.
+    # Sub-batches of one row give the same columns as the default ones
+    law = IncrementLaw.gamma(2.0, 2.0)
+    model = PerturbedWalkModel(
+        law, vector_law=VectorLaw.gaussian([[1.0, 0.3], [0.3, 0.5]]),
+        stationary=StationarySpec.geometric_ma("abs", 0.7).centered(law),
+        quadratic=QuadraticSpec(np.diag([0.5, -0.25])), horizon_factor=0.35)
+    block = collect_passage(model, 50.0, 120, STREAM, 5)
+    assert 0 < np.count_nonzero(~block.crossed) < 120
+    monkeypatch.setattr(first_passage, "_BLOCK_ELEMENTS", 1)
+    alone = collect_passage(model, 50.0, 120, STREAM, 5)
+    for field in ("t", "R", "xi", "zeta", "crossed"):
+        assert np.array_equal(getattr(block, field), getattr(alone, field),
+                              equal_nan=True), field
+    ref = np.array([oracles.passage(model, 50.0, STREAM.with_replication(r))
+                    for r in range(5, 25)])
+    assert np.array_equal(block.t[:20], ref[:, 0])
+    for col, values in ((1, block.R), (2, block.xi), (3, block.zeta)):
+        _close(values[:20], ref[:, col])

@@ -170,6 +170,48 @@ def test_xi_path_backward_coupling_property(kind, depth, n, seed):
         xi_value(spec, k, w[:spec.depth + k]), rel=1e-12, abs=1e-12)
 
 
+# (beta, depth) of the doubling sum: every low set-bit pattern, the README
+# model's 27, and beta = 0.99 at its default depth 1833
+GEOMETRIC_DEPTHS = [(0.6, D) for D in (1, 2, 3, 4, 5, 8, 27, 31)] + \
+    [(0.99, None)]
+GEOMETRIC_MAPS = {"identity": "identity", "abs": "abs",
+                  "callable": lambda w: np.sin(w) + 0.5 * w}
+
+
+@pytest.mark.parametrize("beta, depth", GEOMETRIC_DEPTHS)
+@pytest.mark.parametrize("h", sorted(GEOMETRIC_MAPS))
+def test_geometric_xi_blocks_match_oracle(beta, depth, h):
+    spec = StationarySpec.geometric_ma(GEOMETRIC_MAPS[h], beta,
+                                       truncation_depth=depth,
+                                       centering=0.3)
+    D = spec.depth
+    w = RngStream(17).generator().standard_normal((3, D + 12))
+    xi = spec.xi(w)
+    direct = [[xi_value(spec, D + k, row[:D + k]) for k in range(13)]
+              for row in w]
+    np.testing.assert_allclose(xi, direct, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("beta, depth", GEOMETRIC_DEPTHS)
+def test_geometric_xi_rows_alone_and_backward(beta, depth):
+    # the block is summed as one flat array, yet each row gives the bits
+    # it gives alone, whatever the row length; backward rows give the
+    # forward values turned round, bit for bit
+    spec = StationarySpec.geometric_ma("abs", beta, truncation_depth=depth)
+    D = spec.depth
+    w = RngStream(19).generator().standard_normal((5, D + 40))
+    block = spec.xi(w)
+    for row, values in zip(w, block):
+        assert np.array_equal(spec.xi(row), values)
+        assert np.array_equal(spec.xi(row[:D + 3]), values[:4])
+    path = spec.xi_path(w, 40)[:, ::-1]
+    assert np.array_equal(spec.xi_backward(w[:, ::-1])[:, :40], path)
+    work = [np.empty(w.size + 7) for _ in range(2)]
+    out = np.empty_like(block)
+    assert spec.xi(w, out, work) is out
+    assert np.array_equal(out, block)
+
+
 def test_instantaneous_and_zero_paths():
     w = np.array([1.0, 2.0, 3.0, 4.0])
     spec = StationarySpec.instantaneous(h="square", centering=1.0)
