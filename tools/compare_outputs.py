@@ -18,14 +18,21 @@ mixed-sign Q (``verify-thm4``).  Each config runs once per side as
 ``python3 -m renewalsim.cli`` in a fresh process on that side's ``src``.
 For each config one line is printed: whether the CSV bytes, the exit code
 and every manifest field other than ``wall_time_seconds`` are identical.
-Exit code 1 when any of them differs, else 0.
+Where CSV bytes or manifest fields differ, the line also gives the number
+of differing CSV cells and manifest values, the largest relative
+difference between two float cells, and whether every other cell
+(integers, booleans, labels) is identical.  Exit code 1 when anything
+differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -107,6 +114,54 @@ def run_side(checkout: Path, doc: dict, work: Path) -> dict:
     return result
 
 
+def _cell(text: str):
+    """A CSV cell as the value it writes: int, float, bool or label."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return {"true": True, "false": False}.get(text, text)
+
+
+def _leaves(value, path=()):
+    """(path, value) of every leaf of nested dicts and lists."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else None
+    if items is None:
+        yield path, value
+        return
+    for key, item in items:
+        yield from _leaves(item, path + (key,))
+
+
+def cell_report(base: dict, head: dict) -> str:
+    """How far two sides' CSV cells and manifest values moved: how many
+    differ, the largest relative difference of two floats, and whether
+    every other differing cell is absent (so all non-floats agree)."""
+    sides = []
+    for result in (base, head):
+        rows = [] if result["csv"] is None else [
+            [_cell(c) for c in row]
+            for row in csv.reader(io.StringIO(result["csv"].decode()))]
+        sides.append(dict(_leaves({"csv": rows,
+                                   "manifest": result["manifest"] or {}})))
+    count, rel, others, missing = 0, 0.0, True, object()
+    for key in sides[0].keys() | sides[1].keys():
+        x, y = (side.get(key, missing) for side in sides)
+        if x == y or (isinstance(x, float) and isinstance(y, float)
+                      and math.isnan(x) and math.isnan(y)):
+            continue
+        count += 1
+        if isinstance(x, float) and isinstance(y, float):
+            rel = max(rel, abs(x - y) / max(abs(x), abs(y))
+                      if math.isfinite(x - y) else math.inf)
+        else:
+            others = False
+    return (f"{count} cells differ, floats within {rel:.1e} relative, "
+            f"non-float cells {'identical' if others else 'DIFFERENT'}")
+
+
 def differences(base: dict, head: dict) -> list:
     """What differs between two sides' results, as short labels."""
     diff = []
@@ -143,6 +198,9 @@ def main(argv=None) -> int:
             diff = differences(results["base"], results["head"])
             differed += bool(diff)
             status = "DIFFERENT: " + ", ".join(diff) if diff else "identical"
+            if any(d == "csv bytes" or d.startswith("manifest")
+                   for d in diff):
+                status += "; " + cell_report(results["base"], results["head"])
             stderr = results["head"].get("stderr") or \
                 results["base"].get("stderr")
             print(f"{name}: {status} (exit {results['base']['exit']}/"
