@@ -228,8 +228,7 @@ def _simulate_block(model: PerturbedWalkModel, keys: ReplicationGenerators,
     rows = len(reps)
     if vl is not None and vl.kind == "gaussian":
         # whole chunks, each one's normals drawn after its W, so that every
-        # value is the same at any L; then views of the first L (xi reads
-        # all of W, so that it stays one flat array)
+        # value is the same at any L; then views of the first L
         whole = -(-L // _CHUNK) * _CHUNK
         W = ws.take("W", (rows, D + whole))
         Y = ws.take("Y", (rows, whole, vl.d))
@@ -240,23 +239,22 @@ def _simulate_block(model: PerturbedWalkModel, keys: ReplicationGenerators,
                 w = W[i, D + lo:D + lo + _CHUNK]
                 law.standard(gen, w)
                 vl.materialize(w, gen, out=Y[i, lo:lo + _CHUNK])
-        Y = Y[:, :L]
+        W, Y = W[:, :D + L], Y[:, :L]
         law.scale(W)
     else:
-        whole = L
         W = ws.take("W", (rows, D + L))
         Y = None if vl is None else ws.take("Y", (rows, L, vl.d))
         law.sample_rows(map(keys.generator, reps), W)
         if vl is not None:
             vl.materialize(W[:, D:], None, out=Y)
-    S = _partial_sums(W[:, D:D + L], ws.take("S", (rows, L)))
+    S = _partial_sums(W[:, D:], ws.take("S", (rows, L)))
     T = None if Y is None else _partial_sums(Y, Y)
     zero = np.broadcast_to(0.0, S.shape)
     # xi's scratch is Z's and zeta's buffers, written after it
     xi = zero if model.stationary.kind == "zero" else \
-        model.stationary.xi_path(W, whole, ws.take("xi", (rows, whole + 1)),
+        model.stationary.xi_path(W, L, ws.take("xi", (rows, L + 1)),
                                  [ws.take("Z", W.shape),
-                                  ws.take("zeta", W.shape)])[:, :L]
+                                  ws.take("zeta", W.shape)])
     zeta = zero if model.quadratic is None else \
         zeta_quadratic_path(T, model.quadratic, ws.take("zeta", S.shape))
     if model.residual.kind != "zero":
@@ -266,7 +264,7 @@ def _simulate_block(model: PerturbedWalkModel, keys: ReplicationGenerators,
     for term in (xi, zeta):  # Z = (S + xi) + zeta, absent terms skipped
         if term is not zero:
             Z = np.add(Z, term, out=ws.take("Z", S.shape))
-    return PathBlock(W[:, :D + L], S, T, xi, zeta, Z)
+    return PathBlock(W, S, T, xi, zeta, Z)
 
 
 def block_length(model: PerturbedWalkModel, level: float) -> int:

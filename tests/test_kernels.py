@@ -273,9 +273,10 @@ def test_results_do_not_depend_on_the_first_block(models, fwci_model,
 
 
 def test_gaussian_geometric_rows_alone_match(monkeypatch):
-    # the Gaussian vector law draws whole 256-step chunks and xi sums over
-    # all of them; at the horizon of 53 the block is cut inside a chunk.
-    # Sub-batches of one row give the same columns as the default ones
+    # the Gaussian vector law draws whole 256-step chunks, and at the
+    # horizon of 53 the block is cut inside one, so xi reads a strided view
+    # of the first D + L values.  Sub-batches of one row give the same
+    # columns as the default ones
     law = IncrementLaw.gamma(2.0, 2.0)
     model = PerturbedWalkModel(
         law, vector_law=VectorLaw.gaussian([[1.0, 0.3], [0.3, 0.5]]),

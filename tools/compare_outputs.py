@@ -124,6 +124,10 @@ def _cell(text: str):
     return {"true": True, "false": False}.get(text, text)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _leaves(value, path=()):
     """(path, value) of every leaf of nested dicts and lists."""
     items = value.items() if isinstance(value, dict) else \
@@ -137,8 +141,9 @@ def _leaves(value, path=()):
 
 def cell_report(base: dict, head: dict) -> str:
     """How far two sides' CSV cells and manifest values moved: how many
-    differ, the largest relative difference of two floats, and whether
-    every other differing cell is absent (so all non-floats agree)."""
+    differ, the largest relative difference of two numbers of which one
+    is a float, and whether no other cell (integer pairs, booleans,
+    labels) differs."""
     sides = []
     for result in (base, head):
         rows = [] if result["csv"] is None else [
@@ -149,14 +154,16 @@ def cell_report(base: dict, head: dict) -> str:
     count, rel, others, missing = 0, 0.0, True, object()
     for key in sides[0].keys() | sides[1].keys():
         x, y = (side.get(key, missing) for side in sides)
-        if x == y or (isinstance(x, float) and isinstance(y, float)
-                      and math.isnan(x) and math.isnan(y)):
-            continue
-        count += 1
-        if isinstance(x, float) and isinstance(y, float):
+        if _is_number(x) and _is_number(y) and float in (type(x), type(y)):
+            # a float against a float or an int ('1.0' against '1'): numbers
+            x, y = float(x), float(y)
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            count += 1
             rel = max(rel, abs(x - y) / max(abs(x), abs(y))
                       if math.isfinite(x - y) else math.inf)
-        else:
+        elif type(x) is not type(y) or x != y:  # so True is not 1
+            count += 1
             others = False
     return (f"{count} cells differ, floats within {rel:.1e} relative, "
             f"non-float cells {'identical' if others else 'DIFFERENT'}")
