@@ -286,12 +286,14 @@ def forward_kernel(model: PerturbedWalkModel, stream: RngStream, reps: int,
     ``final`` is True and every row must be done.  The block's arrays are
     reused for the next sub-batch, so the values must not be views of
     them."""
+    extra = model.stationary.depth
     if model.vector_law is not None and model.vector_law.kind == "gaussian":
         length = -(-length // _CHUNK) * _CHUNK  # use every normal drawn
+        extra += _CHUNK - 1  # a block draws up to 255 steps past L
     keys = ReplicationGenerators(stream)
     with _workspace() as ws:
         return _sub_batches(
-            reps, length, horizon, model.stationary.depth, width,
+            reps, length, horizon, extra, width,
             lambda idx, L: reduce(_simulate_block(
                 model, keys, rep_offset + idx, L, ws), L >= horizon))
 

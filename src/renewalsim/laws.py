@@ -4,6 +4,7 @@ The driving variables ``W_k`` are i.i.d. scalar draws from an
 :class:`IncrementLaw`.  The walk increments are ``X_k = W_k`` and the
 mean-zero vector increments ``Y_k`` come from a :class:`VectorLaw`:
 ``centered_x`` maps ``W_k`` itself, ``gaussian`` draws independent noise.
+Moments and E h(W) (``IncrementLaw.map_mean``) are closed forms.
 """
 
 from __future__ import annotations
@@ -149,9 +150,46 @@ class IncrementLaw:
                       ((b - mu) ** 5 - (a - mu) ** 5) / denom)
         return float(np.mean(m4))
 
+    def map_mean(self, h) -> float:
+        """E h(W) in closed form for the named maps of ``perturbation``.
+        E cos W and E sin W are the parts of E e^{iW}.  The uniform,
+        deterministic and quantile-table laws are read as W uniform on
+        equally likely segments [a, b] (one flat for the deterministic
+        law).  Any other map raises ConfigurationError."""
+        k, p = self.kind, self.params
+        if h == "identity" or h == "abs" and k in ("exponential", "gamma"):
+            return self.mean
+        if h == "square":
+            return self.variance + self.mean ** 2
+        if h not in ("abs", "cos", "sin"):
+            raise ConfigurationError(f"no closed form for E h(W) with h = "
+                                     f"{h!r}", "stationary.h")
+        if k in ("uniform", "deterministic", "quantile_table"):
+            a, b = self._segments()
+            flat = b <= a
+            width = np.where(flat, 1.0, b - a)
+            if h == "abs":
+                return float(np.mean(np.where(flat, np.abs(a), (
+                    b * np.abs(b) - a * np.abs(a)) / (2.0 * width))))
+            phi = np.mean(np.where(flat, np.exp(1j * a), (
+                np.exp(1j * b) - np.exp(1j * a)) / (1j * width)))
+        elif h == "abs":  # the folded normal's mean
+            m, s = p
+            z = m / (s * math.sqrt(2.0))
+            return (s * math.sqrt(2.0 / math.pi) * math.exp(-z * z)
+                    + m * math.erf(z))
+        elif k == "exponential":
+            phi = p[0] / (p[0] - 1j)
+        elif k == "gamma":
+            phi = (1.0 - 1j / p[1]) ** -p[0]
+        else:
+            phi = np.exp(complex(-0.5 * p[1] ** 2, p[0]))
+        return float(phi.real if h == "cos" else phi.imag)
+
     def _segments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ends a, b of the equally likely segments W is uniform on."""
         v = np.asarray(self.params)
-        return v[:-1], v[1:]
+        return (v, v) if self.kind == "deterministic" else (v[:-1], v[1:])
 
     @property
     def support_min(self) -> float:
@@ -166,7 +204,7 @@ class IncrementLaw:
             return p[0]
         return float(p[0])
 
-    # -- sampling / quantiles -----------------------------------------
+    # -- sampling -----------------------------------------------------
 
     def sample(self, gen: np.random.Generator, n: int,
                out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -221,32 +259,9 @@ class IncrementLaw:
             x += p[0]
         elif k == "deterministic":
             x[...] = p[0]
-        else:
-            x[...] = self.ppf(x)
+        else:  # piecewise-linear inverse CDF through equally spaced knots
+            x[...] = np.interp(x, np.linspace(0.0, 1.0, len(p)), p)
         return x
-
-    def ppf(self, q) -> np.ndarray:
-        k, p = self.kind, self.params
-        q = np.asarray(q, dtype=float)
-        if k in ("exponential", "gamma", "normal"):
-            # imported here alone: the inverse CDFs of these three are the
-            # package's only use of scipy, so a run that never asks for
-            # them never loads it
-            from scipy import special
-        if k == "exponential":
-            return -special.log1p(-q) * (1.0 / p[0])
-        if k == "gamma":
-            return special.gammaincinv(p[0], q) * (1.0 / p[1])
-        if k == "normal":
-            return special.ndtri(q) * p[1] + p[0]
-        if k == "uniform":
-            return q * (p[1] - p[0]) + p[0]
-        if k == "deterministic":
-            return np.full_like(q, p[0])
-        knots = np.asarray(p)
-        # piecewise-linear inverse CDF through equally spaced knots
-        grid = np.linspace(0.0, 1.0, len(knots))
-        return np.interp(q, grid, knots)
 
 
 @dataclass(frozen=True)

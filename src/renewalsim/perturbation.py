@@ -132,19 +132,11 @@ class StationarySpec:
     def centered(self, law: IncrementLaw) -> "StationarySpec":
         """Return a copy whose centering equals the stationary mean of the
         truncated sum, so E xi_n = 0 (zero/staggered kinds are unchanged).
-
-        E h(W) is the law's mean for ``identity`` and variance + mean^2
-        for ``square``; any other map is averaged over 4096 midpoint
-        quantiles of the law."""
+        E h(W) is ``law.map_mean(h)``, exact for every named map; a
+        callable h raises ConfigurationError."""
         if self.kind not in ("instantaneous", "geometric_ma"):
             return self
-        if self.h == "identity":
-            h_mean = law.mean
-        elif self.h == "square":
-            h_mean = law.variance + law.mean ** 2
-        else:
-            q = (np.arange(4096) + 0.5) / 4096
-            h_mean = float(np.mean(_resolve_map(self.h)(law.ppf(q))))
+        h_mean = law.map_mean(self.h)
         if self.kind == "instantaneous":
             return replace(self, centering=h_mean)
         geom = (1.0 - self.beta ** self.truncation_depth) / (1.0 - self.beta)

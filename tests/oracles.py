@@ -221,6 +221,36 @@ def xi_value(spec: StationarySpec, n: int, history: np.ndarray) -> float:
                for k, w in enumerate(recent)) - spec.centering
 
 
+def map_mean(law: IncrementLaw, h: str) -> float:
+    """E h(W) by adaptive quadrature against the law's density.
+
+    Exponential and gamma densities are integrated with the algebraic
+    weight w^(shape-1) on [0, 1], so a shape below 1 is exact, then
+    plainly on [1, inf); a normal density over mean +- 40 sd.  A uniform
+    law or a quantile table is the mean of h over its equally likely
+    segments, a flat segment (and a deterministic law) giving h at its
+    value.  abs gets its kink at 0 as a break point."""
+    from scipy import integrate
+    f, (k, p) = _MAPS[h], (law.kind, law.params)
+    quad = lambda g, lo, hi, **kw: integrate.quad(
+        g, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=400, **kw)[0]
+    if k in ("exponential", "gamma"):
+        shape, rate = (1.0, p[0]) if k == "exponential" else p
+        c = rate ** shape / math.gamma(shape)
+        g = lambda w: f(w) * c * math.exp(-rate * w)
+        return (quad(g, 0.0, 1.0, weight="alg", wvar=(shape - 1.0, 0.0))
+                + quad(lambda w: g(w) * w ** (shape - 1.0), 1.0, math.inf))
+    if k == "normal":
+        m, s = p
+        return quad(lambda w: f(w) * math.exp(-0.5 * ((w - m) / s) ** 2)
+                    / (s * math.sqrt(2.0 * math.pi)),
+                    m - 40.0 * s, m + 40.0 * s, points=[0.0])
+    v = p * 2 if k == "deterministic" else p
+    return float(np.mean([
+        f(a) if b <= a else quad(f, a, b, points=[0.0] if a < 0 < b else None)
+        / (b - a) for a, b in zip(v[:-1], v[1:])]))
+
+
 def zeta_quadratic(T_n: np.ndarray, n: int, spec: QuadraticSpec) -> float:
     """zeta'_n = T_n' Q T_n / n for one vector partial sum."""
     if n < 1:

@@ -592,6 +592,56 @@ def test_cli_import_and_runs_load_no_scipy(tmp_path, config_file):
     assert loaded == ["loaded: []"] * (len(docs) + 1)
 
 
+_BLOCK_SCIPY = """
+import sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == 'scipy' or name.startswith('scipy.'):
+            raise ImportError(f'{name} is blocked')
+if sys.argv[1] == 'block':
+    sys.meta_path.insert(0, NoScipy())
+from renewalsim import cli
+print('exits:', [cli.main(['--config', path]) for path in sys.argv[2:]])
+"""
+
+
+def test_every_kind_runs_with_scipy_blocked(tmp_path, config_file):
+    # scipy is a test dependency only: with every scipy import raising
+    # ImportError, a small run of each kind and centred abs, sin and cos
+    # maps exit as they do with scipy importable, and write the same CSV
+    lrt = dict(STAGGERED_FWCI, g="repeated_lrt")
+    fields = {"simulate": {}, "constants": {},
+              "verify-thm1": {"a": 20.0, "b": 0.5, "y": 0.0,
+                              "predicate": {"kind": "always_true"}},
+              "verify-thm3": {"a": 30.0}, "verify-thm4": {"a_grid": [10.0]},
+              "diag-lemma1": {}, "diag-lemma3": {},
+              "example-fwci": {"h": 0.5, "c": 1.96},
+              "example-rst": {"horizon": 30, "calibration_reps": 200}}
+    assert set(fields) == set(EXPERIMENT_KINDS)
+    docs = [full_config(kind=kind, model={"example-fwci": STAGGERED_FWCI,
+                                          "example-rst": lrt}.get(
+                                              kind, WALK_MODEL), **over)
+            for kind, over in fields.items()]
+    for h in ("abs", "sin", "cos"):
+        docs.append(full_config(kind="verify-thm4", a_grid=[10.0], model=dict(
+            WALK_MODEL, increment={"family": "normal",
+                                   "params": {"mean": 1.0, "sd": 0.8}},
+            stationary={"kind": "geometric_ma", "h": h, "centered": True})))
+    paths = [config_file(dict(doc, out=str(tmp_path / str(i))),
+                         name=f"cfg{i}.yaml") for i, doc in enumerate(docs)]
+    src = os.path.dirname(os.path.dirname(renewalsim.__file__))
+    runs = []
+    for mode in ("allow", "block"):
+        out = subprocess.run([sys.executable, "-c", _BLOCK_SCIPY, mode,
+                              *paths], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr[-2000:]
+        runs.append((out.stdout.splitlines()[-1], [
+            (tmp_path / str(i) / f"{doc['kind']}.csv").read_bytes()
+            for i, doc in enumerate(docs)]))
+    assert runs[0] == runs[1]
+
+
 def test_cli_import_and_one_worker_runs_load_no_pool_or_numpy_ma(
         tmp_path, config_file):
     # a process pool loads multiprocessing only when one starts, and the

@@ -272,16 +272,22 @@ def test_results_do_not_depend_on_the_first_block(models, fwci_model,
             assert np.array_equal(new, old)
 
 
+def _gaussian_geometric_model():
+    """gamma(2, 2) increments, a 2-d Gaussian vector and the geometric |W|
+    (D = 52); at a = 50 the horizon is 53."""
+    law = IncrementLaw.gamma(2.0, 2.0)
+    return PerturbedWalkModel(
+        law, vector_law=VectorLaw.gaussian([[1.0, 0.3], [0.3, 0.5]]),
+        stationary=StationarySpec.geometric_ma("abs", 0.7).centered(law),
+        quadratic=QuadraticSpec(np.diag([0.5, -0.25])), horizon_factor=0.35)
+
+
 def test_gaussian_geometric_rows_alone_match(monkeypatch):
     # the Gaussian vector law draws whole 256-step chunks, and at the
     # horizon of 53 the block is cut inside one, so xi reads a strided view
     # of the first D + L values.  Sub-batches of one row give the same
     # columns as the default ones
-    law = IncrementLaw.gamma(2.0, 2.0)
-    model = PerturbedWalkModel(
-        law, vector_law=VectorLaw.gaussian([[1.0, 0.3], [0.3, 0.5]]),
-        stationary=StationarySpec.geometric_ma("abs", 0.7).centered(law),
-        quadratic=QuadraticSpec(np.diag([0.5, -0.25])), horizon_factor=0.35)
+    model = _gaussian_geometric_model()
     block = collect_passage(model, 50.0, 120, STREAM, 5)
     assert 0 < np.count_nonzero(~block.crossed) < 120
     monkeypatch.setattr(first_passage, "_BLOCK_ELEMENTS", 1)
@@ -294,3 +300,17 @@ def test_gaussian_geometric_rows_alone_match(monkeypatch):
     assert np.array_equal(block.t[:20], ref[:, 0])
     for col, values in ((1, block.R), (2, block.xi), (3, block.zeta)):
         _close(values[:20], ref[:, col])
+
+
+def test_gaussian_sub_batches_fit_the_workspace(monkeypatch):
+    # a Gaussian block draws up to 255 steps past L, which the sub-batch
+    # size allows for: no buffer grows past _BLOCK_ELEMENTS rows' worth
+    model = _gaussian_geometric_model()
+    assert model.stationary.depth == 52 and model.horizon(50.0) == 53
+    monkeypatch.setattr(first_passage, "_IDLE", [])
+    collect_passage(model, 50.0, 2000, STREAM)
+    (ws,) = first_passage._IDLE
+    assert set(ws._buffers) == {"W", "Y", "S", "xi", "Z", "zeta"}
+    for name, buf in ws._buffers.items():
+        per_row = 2 if name == "Y" else 1
+        assert buf.size <= first_passage._BLOCK_ELEMENTS * per_row, name

@@ -5,12 +5,13 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import stats
 
+import oracles
 import renewalsim
 from renewalsim import IncrementLaw, RngStream, VectorLaw
 from renewalsim.errors import ConfigurationError
 from renewalsim.laws import CovarianceEstimate
+from renewalsim.perturbation import _NAMED_MAPS
 
 LAWS = [
     IncrementLaw.exponential(2.0),
@@ -44,7 +45,8 @@ def _numpy_draws(law, gen, n):
             "normal": lambda: gen.normal(p[0], p[1], n),
             "uniform": lambda: gen.uniform(p[0], p[1], n),
             "deterministic": lambda: np.full(n, p[0]),
-            "quantile_table": lambda: law.ppf(gen.random(n)),
+            "quantile_table": lambda: np.interp(
+                gen.random(n), np.linspace(0.0, 1.0, len(p)), p),
             }[law.kind]()
 
 
@@ -67,28 +69,34 @@ def test_sample_into_buffer_is_numpys_draws(law):
     assert np.isnan(buf[1, :2]).all() and np.isnan(buf[[0, 2]]).all()
 
 
-@pytest.mark.parametrize("law", LAWS, ids=lambda l: l.kind)
-def test_ppf_monotone_and_supported(law):
-    q = np.linspace(0.01, 0.99, 25)
-    v = law.ppf(q)
+def test_quantile_table_scale_monotone_and_supported():
+    law = LAWS[-1]
+    v = law.scale(np.linspace(0.0, 1.0, 25))
     assert np.all(np.diff(v) >= 0)
-    assert v.min() >= law.support_min - 1e-12
+    assert v[0] == law.support_min == 0.5 and v[-1] == 3.0
 
 
-@pytest.mark.parametrize("law", LAWS[:4], ids=lambda l: l.kind)
-def test_ppf_equals_scipy_stats(law):
-    # the 4096 midpoints StationarySpec.centered integrates over, and
-    # uniform draws
-    q = np.concatenate([(np.arange(4096) + 0.5) / 4096,
-                        RngStream(315).generator().random(100_000)])
-    p = law.params
-    ref = {"exponential": lambda: stats.expon.ppf(q, scale=1.0 / p[0]),
-           "gamma": lambda: stats.gamma.ppf(q, p[0], scale=1.0 / p[1]),
-           "normal": lambda: stats.norm.ppf(q, loc=p[0], scale=p[1]),
-           "uniform": lambda: stats.uniform.ppf(q, loc=p[0],
-                                                scale=p[1] - p[0]),
-           }[law.kind]()
-    assert np.array_equal(law.ppf(q), ref)
+# every family, with a gamma shape below 1, a normal mean below its sd, a
+# uniform law across 0 and a table with negative knots and a flat segment
+MAP_LAWS = LAWS + [
+    IncrementLaw.gamma(0.4, 3.0),
+    IncrementLaw.normal(0.3, 0.9),
+    IncrementLaw.uniform(-0.7, 2.0),
+    IncrementLaw.quantile_table([-1.0, -0.25, 0.5, 0.5, 2.0, 3.5]),
+]
+
+
+@pytest.mark.parametrize("h", sorted(_NAMED_MAPS))
+@pytest.mark.parametrize("law", MAP_LAWS,
+                         ids=lambda l: f"{l.kind}{l.params[:2]}")
+def test_map_mean_equals_quadrature(law, h):
+    assert abs(law.map_mean(h) - oracles.map_mean(law, h)) <= 1e-10
+
+
+@pytest.mark.parametrize("h", ["cube", np.abs, None])
+def test_map_mean_rejects_other_maps(h):
+    with pytest.raises(ConfigurationError):
+        LAWS[0].map_mean(h)
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -106,7 +114,6 @@ def test_exponential_quantities():
     assert law.mean == 0.5
     assert law.variance == 0.25
     assert law.central_moment4 == pytest.approx(9.0 / 16.0)
-    assert law.ppf(0.5) == pytest.approx(math.log(2.0) / 2.0)
     assert law.support_min == 0.0
 
 
@@ -126,7 +133,7 @@ def test_quantile_table_properties():
     law = IncrementLaw.quantile_table([3.0, 1.0, 2.0])
     assert law.params == (1.0, 2.0, 3.0)
     assert law.mean == pytest.approx(2.0)
-    assert law.ppf(0.0) == 1.0 and law.ppf(1.0) == 3.0
+    assert np.array_equal(law.scale(np.array([0.0, 0.5, 1.0])), [1.0, 2.0, 3.0])
     x = law.sample(RngStream(5).generator(), 1000)
     assert x.min() >= 1.0 and x.max() <= 3.0
     with pytest.raises(ConfigurationError):

@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import xi_value, zeta_quadratic, zeta_window
 from renewalsim import (
     IncrementLaw, QuadraticSpec, RngStream, StationarySpec, VectorLaw,
     mixture_weights, zeta_quadratic_path, zeta_window_path,
 )
 from renewalsim.errors import ConfigurationError, ContractViolationError
-from renewalsim.perturbation import ResidualSpec
+from renewalsim.perturbation import _NAMED_MAPS, ResidualSpec
 
 
 def geometric_spec(beta=0.5, depth=None):
@@ -54,44 +54,44 @@ def test_centered_removes_the_mean():
 
 
 CENTERING_LAWS = [
-    (IncrementLaw.exponential(2.0), stats.expon(scale=0.5)),
-    (IncrementLaw.gamma(3.0, 2.0), stats.gamma(3.0, scale=0.5)),
-    (IncrementLaw.normal(1.5, 0.7), stats.norm(1.5, 0.7)),
-    (IncrementLaw.uniform(0.2, 2.0), stats.uniform(0.2, 1.8)),
+    IncrementLaw.exponential(2.0),
+    IncrementLaw.gamma(0.4, 3.0),
+    IncrementLaw.normal(0.3, 0.9),
+    IncrementLaw.uniform(-0.7, 2.0),
+    IncrementLaw.deterministic(0.8),
+    IncrementLaw.quantile_table([-1.0, -0.25, 0.5, 0.5, 2.0, 3.5]),
 ]
 
 
-@pytest.mark.parametrize("law, dist", CENTERING_LAWS,
-                         ids=[l.kind for l, _ in CENTERING_LAWS])
-@pytest.mark.parametrize("h", ["identity", "square"])
-def test_centered_is_exact_for_identity_and_square(law, dist, h,
-                                                   monkeypatch):
-    # E h(W) by adaptive quadrature against the density
-    f = {"identity": lambda w: w, "square": lambda w: w * w}[h]
-    lo, hi = dist.support()
-    ref = integrate.quad(lambda w: f(w) * dist.pdf(w), lo, hi,
-                         epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-    calls = []
-    monkeypatch.setattr(IncrementLaw, "ppf",
-                        lambda self, q: calls.append(q) or np.asarray(q))
+def _centered_exactly(law, h):
+    # E xi = E h(W) * sum_{k<D} beta^k - centering, E h(W) by quadrature
+    ref = oracles.map_mean(law, h)
     inst = StationarySpec.instantaneous(h).centered(law)
     geo = StationarySpec.geometric_ma(h, 0.5, truncation_depth=5) \
         .centered(law)
-    assert abs(inst.centering - ref) <= 1e-10
-    assert abs(geo.centering - ref * (1.0 - 0.5 ** 5) / 0.5) <= 1e-10
-    assert calls == []
+    assert abs(ref - inst.centering) <= 1e-10
+    assert abs(ref * (1.0 - 0.5 ** 5) / 0.5 - geo.centering) <= 1e-10
 
 
-def test_centered_integrates_other_maps_over_the_quantiles(monkeypatch):
+@pytest.mark.parametrize("law", CENTERING_LAWS, ids=lambda l: l.kind)
+@pytest.mark.parametrize("h", ["identity", "square"])
+def test_centered_is_exact_for_identity_and_square(law, h):
+    _centered_exactly(law, h)
+
+
+@pytest.mark.parametrize("law", CENTERING_LAWS, ids=lambda l: l.kind)
+@pytest.mark.parametrize("h", sorted(set(_NAMED_MAPS) - {"identity",
+                                                         "square"}))
+def test_centered_is_exact_for_the_other_named_maps(law, h):
+    _centered_exactly(law, h)
+
+
+def test_centered_rejects_a_callable_map():
     law = IncrementLaw.exponential(1.0)
-    calls = []
-    ppf = IncrementLaw.ppf
-    monkeypatch.setattr(IncrementLaw, "ppf",
-                        lambda self, q: calls.append(len(q)) or ppf(self, q))
-    spec = StationarySpec.instantaneous("abs").centered(law)
-    q = (np.arange(4096) + 0.5) / 4096
-    assert calls == [4096]
-    assert spec.centering == float(np.mean(np.abs(ppf(law, q))))
+    for spec in (StationarySpec.instantaneous(np.tanh),
+                 StationarySpec.geometric_ma(np.tanh, 0.5)):
+        with pytest.raises(ConfigurationError):
+            spec.centered(law)
 
 
 # one spec of each kind; the staggered kind drives (lifetime,

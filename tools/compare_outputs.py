@@ -1,4 +1,4 @@
-"""Compare the CLI outputs of two commits on 17 fixed configs.
+"""Compare the CLI outputs of two commits on 18 fixed configs.
 
 Usage:
     python3 tools/compare_outputs.py [--base REV] [--head REV]
@@ -10,11 +10,14 @@ HEAD) are extracted with ``git archive`` into a temporary directory, as
 ``perfbench/workloads.py`` workloads at ``round_seed(7, 0)``, both read
 from the head checkout, and two staggered configs whose trials run past
 their first draw segment: the calibrated ``example-rst`` doc at horizon
-700 and the ``example-fwci`` doc at h = 0.05.  The last two draw W from
-laws other than exp(1), whose standard variates are scaled apart from
-the draw: a plain N(1, 1) walk, which steps down (``simulate``, a = 200),
-and gamma(2, 2) increments with a 2-d Gaussian vector, |W| as xi and a
-mixed-sign Q (``verify-thm4``).  Each config runs once per side as
+700 and the ``example-fwci`` doc at h = 0.05.  The last three draw W
+from laws other than exp(1), whose standard variates are scaled apart
+from the draw: a plain N(1, 1) walk, which steps down (``simulate``,
+a = 200); gamma(2, 2) increments with a 2-d Gaussian vector, a centred
+|W| as xi and a mixed-sign Q (``verify-thm4``); and a N(1, 0.8^2) walk
+with a centred geometric cos W as xi and Q = 1/2 (``verify-thm4``), so
+that the closed-form E h(W) of the centring is compared too.  Each
+config runs once per side as
 ``python3 -m renewalsim.cli`` in a fresh process on that side's ``src``.
 For each config one line is printed: whether the CSV bytes, the exit code
 and every manifest field other than ``wall_time_seconds`` are identical.
@@ -57,7 +60,7 @@ def _invariance_docs(checkout: Path) -> dict:
 
 
 def configs(checkout: Path) -> dict:
-    """{name: config document without ``out``}, 17 in all."""
+    """{name: config document without ``out``}, 18 in all."""
     docs = {f"acceptance:{kind}": dict(doc, kind=kind)
             for kind, doc in _invariance_docs(checkout).items()}
     sys.path.insert(0, str(checkout / "perfbench"))
@@ -87,6 +90,15 @@ def configs(checkout: Path) -> dict:
             "stationary": {"kind": "instantaneous", "h": "abs",
                            "centered": True},
             "quadratic": {"Q": [[0.5, 0.0], [0.0, -0.25]]}}}
+    docs["non-exponential:normal-cos"] = {
+        "kind": "verify-thm4", "seed": 43, "reps": 1500,
+        "a_grid": [10.0, 20.0],
+        "model": {"kind": "perturbed_walk", "increment": {
+            "family": "normal", "params": {"mean": 1.0, "sd": 0.8}},
+            "vector": {"kind": "centered_x", "coeffs": [1.0]},
+            "stationary": {"kind": "geometric_ma", "h": "cos", "beta": 0.5,
+                           "centered": True},
+            "quadratic": {"Q": [[0.5]]}}}
     return docs
 
 
