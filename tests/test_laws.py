@@ -133,7 +133,8 @@ def test_quantile_table_properties():
     law = IncrementLaw.quantile_table([3.0, 1.0, 2.0])
     assert law.params == (1.0, 2.0, 3.0)
     assert law.mean == pytest.approx(2.0)
-    assert np.array_equal(law.scale(np.array([0.0, 0.5, 1.0])), [1.0, 2.0, 3.0])
+    assert np.array_equal(law.scale(np.array([0.0, 0.5, 1.0])),
+                          [1.0, 2.0, 3.0])
     x = law.sample(RngStream(5).generator(), 1000)
     assert x.min() >= 1.0 and x.max() <= 3.0
     with pytest.raises(ConfigurationError):
