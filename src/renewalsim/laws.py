@@ -157,7 +157,7 @@ class IncrementLaw:
         equally likely segments [a, b] (one flat for the deterministic
         law).  Any other map raises ConfigurationError."""
         k, p = self.kind, self.params
-        if h == "identity" or h == "abs" and k in ("exponential", "gamma"):
+        if h == "identity" or (h == "abs" and k in ("exponential", "gamma")):
             return self.mean
         if h == "square":
             return self.variance + self.mean ** 2
